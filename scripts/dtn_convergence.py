@@ -12,15 +12,11 @@ Usage: python scripts/dtn_convergence.py
 
 import numpy as np
 
-from quadshape.bem import get_operators
+from critical_disk import closed_form_J
+from quadshape.bem import BoundaryOperators
 from quadshape.geometry import Curve
 from quadshape.potential import Disk, SourceTerm
 from quadshape.shape import evaluate_J, solve_state
-
-
-def closed_form_J(R, rho, mass, k):
-    return (-mass**2 / (4 * np.pi) * np.log(R / rho)
-            - mass**2 / (16 * np.pi) + k**2 * np.pi * R**2 / 2)
 
 
 def main():
@@ -31,7 +27,7 @@ def main():
           f"{'J error':>12} {'ellipse sym':>12}")
     for n in (16, 32, 64, 128, 256, 512):
         circle = Curve.circle(1.0, n=n)
-        ops = get_operators(circle)
+        ops = BoundaryOperators(circle)
 
         mode = np.cos(5 * circle.theta)
         dtn_err = float(np.max(np.abs(ops.dtn_apply(mode) - 5 * mode)))
@@ -44,7 +40,7 @@ def main():
 
         # DtN symmetry in the weighted inner product on a generic shape
         ellipse = Curve.ellipse(1.3, 0.7, n=n)
-        eops = get_operators(ellipse)
+        eops = BoundaryOperators(ellipse)
         wl = ellipse.weights[:, None] * eops.dtn_matrix
         sym = float(np.max(np.abs(wl - wl.T)))
 

@@ -18,6 +18,11 @@ density lies in its kernel.  Curves whose capacity estimate falls in
 transparent to callers because boundary data transports unchanged, interior
 evaluation points are scaled alongside, and Neumann data gains the factor
 back by the chain rule.
+
+``BoundaryOperators`` is the whole interface: the state solve in
+``quadshape.shape`` constructs one bundle per curve and keeps it on the
+returned state, so the bundle is freed with the state.  ``get_operators``
+is a separate identity-keyed cache that the solver does not use.
 """
 
 from __future__ import annotations
@@ -219,21 +224,11 @@ class BoundaryOperators:
 
 @lru_cache(maxsize=32)
 def get_operators(curve):
-    """Memoized operator bundle per curve (curves hash by identity)."""
+    """Memoized operator bundle per curve (curves hash by identity).
+
+    The solver does not use this cache: ``shape.solve_state`` builds a fresh
+    ``BoundaryOperators`` that lives only as long as the state holding it.
+    The cache keeps up to 32 dense bundles alive, so prefer constructing
+    ``BoundaryOperators`` directly.
+    """
     return BoundaryOperators(curve)
-
-
-def solve_dirichlet(curve, data):
-    return get_operators(curve).solve_dirichlet(data)
-
-
-def dtn_apply(curve, values):
-    return get_operators(curve).dtn_apply(values)
-
-
-def dirichlet_energy(curve, values):
-    return get_operators(curve).dirichlet_energy(values)
-
-
-def eval_interior(curve, density, x, on_close="warn"):
-    return get_operators(curve).eval_interior(density, x, on_close)

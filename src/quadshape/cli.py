@@ -112,14 +112,12 @@ def _write_common(run, curve, state, args):
     from .reports import write_matrix_csv, write_state_csv
     with open(os.path.join(args.out, "curve.csv"), "w", newline="\n") as fh:
         fh.write(curve_to_csv(curve))
-    if state is not None:
-        write_state_csv(state, os.path.join(args.out, "state.csv"))
+    write_state_csv(state, os.path.join(args.out, "state.csv"))
     if args.dump_operators:
-        from .bem import get_operators
-        ops = get_operators(curve)
-        write_matrix_csv(ops.single_layer,
+        write_matrix_csv(state.ops.single_layer,
                          os.path.join(args.out, "single_layer.csv"))
-        write_matrix_csv(ops.dtn_matrix, os.path.join(args.out, "dtn.csv"))
+        write_matrix_csv(state.ops.dtn_matrix,
+                         os.path.join(args.out, "dtn.csv"))
 
 
 def _solve(run, curve):
@@ -171,8 +169,7 @@ def cmd_gradient(run, curve, args):
     for mode in run.directions:
         direction = NormalField.from_mode(mode, curve.n)
         b = hadamard_derivative(state, direction)
-        f = fd_first_derivative(curve, run.source, run.params.k, direction,
-                                t_step=run.fd.t_step)
+        f = fd_first_derivative(state, direction, t_step=run.fd.t_step)
         boundary.append(b)
         fd.append(f)
         entries.append({"direction": mode, "boundary_form": b,
@@ -215,6 +212,7 @@ def cmd_hessian(run, curve, args):
 
 
 def cmd_flow(run, curve, args):
+    from .bem import SolverError
     from .flow import convergence_report, descend, write_trace
     from .geometry import curve_to_csv
     from .reports import curve_dict, write_curves_svg
@@ -249,6 +247,10 @@ def cmd_flow(run, curve, args):
         write_curves_svg([cv for _, cv in picks],
                          [f"iter {it}" for it, _ in picks],
                          os.path.join(args.out, "flow.svg"))
+    if result.reason == "step_collapse":
+        # artifacts above stay for inspection; main maps this to exit 3
+        raise SolverError(f"line search collapsed after {result.iterations} "
+                          "iterations")
 
     conv = convergence_report(result)
     report = {
@@ -333,11 +335,9 @@ def cmd_diagnose(run, curve, args):
 def cmd_spectrum(run, curve, args):
     import numpy as np
 
-    from .bem import get_operators
     from .shape import stability_controls, symmetric_spectrum
     state = _solve(run, curve)
-    ops = get_operators(curve)
-    dtn_vals, _ = symmetric_spectrum(ops.dtn_matrix, curve.weights)
+    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix, curve.weights)
     stab = stability_controls(state)
     kmax = run.output.max_eigs
     report = {

@@ -69,7 +69,6 @@ class FDSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    dump_operators: bool = False
     snapshot_every: int = 25
     svg: bool = True
     max_eigs: int = 16
@@ -244,7 +243,7 @@ def _build_flow(body):
 def _build_output(body):
     kw = {}
     for key, val in body.items():
-        if key in ("dump_operators", "svg"):
+        if key == "svg":
             kw[key] = _parse_bool(val, key, "output")
         elif key in ("snapshot_every", "max_eigs"):
             kw[key] = _parse_scalar(val, key, "output", int)

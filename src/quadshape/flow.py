@@ -43,10 +43,7 @@ class FlowConfig:
     # With ``stabilized`` the direction is damped modewise by 1/(1 + tau m)
     # (tau matched to the stiff symbol), which caps the effective step of
     # every mode inside its stability region without freezing any of them.
-    # Zeroing a band instead (dealias_cut < 1) leaves residual shape modes
-    # the direction can never correct; keep it at 1 unless experimenting.
     stabilized: bool = True
-    dealias_cut: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,6 @@ def descend(curve, source, params, config=None, callback=None):
     tol = max(config.grad_tol, config.grad_tol_rel * records[0].grad_norm)
 
     def direction(state, grad, step):
-        n = state.curve.n
         coef = np.fft.rfft(grad.values)
         if config.stabilized:
             # stability of mode m needs step * lambda(m) < 2 with
@@ -147,10 +143,7 @@ def descend(curve, source, params, config=None, callback=None):
             weight = 1.0 + params.A * float(np.min(state.curve.kappa**2))
             tau = 2.0 * step * float(np.max(state.u_nu**2)) * xi / weight
             coef = coef / (1.0 + tau * np.arange(len(coef)))
-        keep = int(config.dealias_cut * (n // 2))
-        if keep < n // 2:
-            coef[keep + 1:] = 0.0
-        return np.fft.irfft(coef, n)
+        return np.fft.irfft(coef, state.curve.n)
 
     accepted = 0
     for it in range(1, config.max_iters + 1):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem import AccuracyWarning, BoundaryOperators, get_operators
+from .bem import AccuracyWarning, BoundaryOperators
 from .geometry import (Curve, GeometryError, MetricParams, NormalField,
                        flow_curve, metric_inner)
 from .potential import (SourceTerm, clearance_margin, eval_potential,
@@ -62,7 +62,7 @@ class ShapeState:
     density: object
     u_nu: np.ndarray
     psi: np.ndarray
-    _J: dict = field(default_factory=dict, repr=False)
+    _J: float | None = field(default=None, repr=False)
 
 
 def solve_state(curve, source, k, require_clearance=True):
@@ -78,7 +78,7 @@ def solve_state(curve, source, k, require_clearance=True):
     if require_clearance and clearance_margin(source, curve) < 0.0:
         raise GeometryError("source disks must sit inside the curve with one "
                             "radius of clearance to the boundary")
-    ops = get_operators(curve)
+    ops = BoundaryOperators(curve)
     trace = eval_potential(source, curve.points)
     density = ops.solve_dirichlet(-trace)
     grad_p = eval_potential_gradient(source, curve.points)
@@ -87,16 +87,18 @@ def solve_state(curve, source, k, require_clearance=True):
     return ShapeState(curve, source, float(k), ops, density, u_nu, psi)
 
 
-def evaluate_J(state, n_radial=32, n_angular=64):
-    """Shape functional via integration by parts: integral |grad u|^2 = integral f u."""
-    key = (n_radial, n_angular)
-    if key not in state._J:
-        pts, wts, dens = source_quadrature(state.source, n_radial, n_angular)
+def evaluate_J(state):
+    """Shape functional via integration by parts: integral |grad u|^2 = integral f u.
+
+    Computed once per state and memoized on it.
+    """
+    if state._J is None:
+        pts, wts, dens = source_quadrature(state.source)
         u = eval_potential(state.source, pts)
         u = u + state.ops.eval_interior(state.density, pts)
         energy = float(np.sum(wts * dens * u))
-        state._J[key] = -0.5 * energy + 0.5 * state.k**2 * state.curve.area
-    return state._J[key]
+        state._J = -0.5 * energy + 0.5 * state.k**2 * state.curve.area
+    return state._J
 
 
 def hadamard_derivative(state, direction, factor=1.0):
@@ -110,14 +112,14 @@ def hadamard_derivative(state, direction, factor=1.0):
     return factor * float(np.sum(state.psi * alpha * state.curve.weights))
 
 
-def fd_first_derivative(curve, source, k, direction, t_step=None):
-    """Central finite difference of t -> J(curve flowed by direction)."""
+def fd_first_derivative(state, direction, t_step=None):
+    """Central finite difference of t -> J(state's curve flowed by direction)."""
     if t_step is None:
-        t_step = 1e-3 * curve.diameter
+        t_step = 1e-3 * state.curve.diameter
     vals = {}
     for t in (t_step, -t_step, 0.5 * t_step, -0.5 * t_step):
-        ct = flow_curve(curve, direction, t, validate=False)
-        vals[t] = evaluate_J(solve_state(ct, source, k))
+        ct = flow_curve(state.curve, direction, t, validate=False)
+        vals[t] = evaluate_J(solve_state(ct, state.source, state.k))
     coarse = (vals[t_step] - vals[-t_step]) / (2.0 * t_step)
     fine = (vals[0.5 * t_step] - vals[-0.5 * t_step]) / t_step
     return (4.0 * fine - coarse) / 3.0
@@ -209,7 +211,24 @@ def direct_hessian_form(state, a, b=None, state_term=True, dpsi_method="interior
     return total
 
 
-def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3, factor=1.0):
+def _flowed_states(state, a, t_step):
+    """States on the curve flowed by +t_step and -t_step along a."""
+    return [solve_state(flow_curve(state.curve, a, t, validate=False),
+                        state.source, state.k)
+            for t in (t_step, -t_step)]
+
+
+def _flow_hessian(state, flowed, a, b, params, t_step):
+    """Flow-route Hessian form of the fields a, b given the two states of
+    ``_flowed_states(state, a, t_step)``."""
+    sp, sm = flowed
+    first = (hadamard_derivative(sp, b.values)
+             - hadamard_derivative(sm, b.values)) / (2.0 * t_step)
+    nabla = covariant_derivative(state.curve, params, a, b)
+    return first - hadamard_derivative(state, nabla.values)
+
+
+def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
     """Hessian form as derivative of the gradient along a flow.
 
     Central-differences t -> hadamard_derivative on the curve flowed by a
@@ -221,15 +240,8 @@ def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3, factor=1.0):
     af = _as_field(a, n)
     bf = _as_field(b, n)
     params = MetricParams(A=A, k=state.k)
-    vals = []
-    for t in (t_step, -t_step):
-        ct = flow_curve(state.curve, af, t, validate=False)
-        st = solve_state(ct, state.source, state.k)
-        vals.append(hadamard_derivative(st, bf.values, factor))
-    first = (vals[0] - vals[1]) / (2.0 * t_step)
-    nabla = covariant_derivative(state.curve, params, af, bf)
-    second = hadamard_derivative(state, nabla.values, factor)
-    return first - second
+    return _flow_hessian(state, _flowed_states(state, af, t_step), af, bf,
+                         params, t_step)
 
 
 @dataclass(frozen=True)
@@ -244,8 +256,8 @@ class SecondDifference:
     retries: int
 
 
-def fd_second_derivative(curve, source, k, direction, t_step=None,
-                         source_velocity=None, max_retries=5):
+def fd_second_derivative(state, direction, t_step=None, source_velocity=None,
+                         max_retries=5):
     """Richardson-extrapolated second difference of J along a normal flow.
 
     Five-point stencil: central second differences at steps t and t/2 are
@@ -254,11 +266,12 @@ def fd_second_derivative(curve, source, k, direction, t_step=None,
     clearance the step shrinks by 4, up to ``max_retries`` times.
     ``source_velocity`` translates the source with the flow, which makes J
     exactly invariant along rigid translations (direction <e, nu> with
-    velocity e).
+    velocity e).  The centre value is the state's own (memoized) J.
     """
+    curve, source, k = state.curve, state.source, state.k
     if t_step is None:
         t_step = 1e-3 * curve.diameter
-    j0 = evaluate_J(solve_state(curve, source, k))
+    j0 = evaluate_J(state)
 
     def j_at(t):
         ct = flow_curve(curve, direction, t)
@@ -325,8 +338,8 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
     identity.  Fitted slopes regress each route against the
     finite-difference column (or the flow column when fd is disabled).
     """
-    curve, source, k = state.curve, state.source, state.k
-    n = curve.n
+    k = state.k
+    n = state.curve.n
     labels = []
     fields = []
     for d in directions:
@@ -339,27 +352,18 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
     params = MetricParams(A=A, k=k)
 
     # two solves per direction cover the flow route for every ordered pair
-    flow_states = []
-    for f in fields:
-        pair = []
-        for t in (t_step, -t_step):
-            ct = flow_curve(curve, f, t, validate=False)
-            pair.append(solve_state(ct, source, k))
-        flow_states.append(pair)
+    flow_states = [_flowed_states(state, f, t_step) for f in fields]
 
     def flow_value(i, j):
-        sp, sm = flow_states[i]
-        first = (hadamard_derivative(sp, fields[j].values)
-                 - hadamard_derivative(sm, fields[j].values)) / (2.0 * t_step)
-        nabla = covariant_derivative(curve, params, fields[i], fields[j])
-        return first - hadamard_derivative(state, nabla.values)
+        return _flow_hessian(state, flow_states[i], fields[i], fields[j],
+                             params, t_step)
 
     fd_cache = {}
 
     def fd_diag(vals):
         key = vals.tobytes()
         if key not in fd_cache:
-            fd_cache[key] = fd_second_derivative(curve, source, k, vals,
+            fd_cache[key] = fd_second_derivative(state, vals,
                                                  t_step=t_step).value
         return fd_cache[key]
 

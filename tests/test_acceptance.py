@@ -100,10 +100,11 @@ def _fd_calibration():
     if "fd_calibration" not in RESULTS:
         curve = Curve.circle(1.0, n=256)
         source = _critical_source()
+        state = solve_state(curve, source, 1.0)
         breathing = fd_second_derivative(
-            curve, source, 1.0, NormalField.constant(1.0, curve.n)).value
+            state, NormalField.constant(1.0, curve.n)).value
         translation = fd_second_derivative(
-            curve, source, 1.0, NormalField.from_mode("cos1", curve.n),
+            state, NormalField.from_mode("cos1", curve.n),
             source_velocity=(1.0, 0.0)).value
         RESULTS["fd_calibration"] = (breathing, translation)
     return RESULTS["fd_calibration"]

@@ -245,6 +245,21 @@ def test_flow_command_artifacts(tmp_path):
     assert svg.startswith("<svg") and "iter 0" in svg
 
 
+def test_collapsed_flow_exits_3_after_writing_artifacts(tmp_path, capsys):
+    collapse = FLOW_CFG.replace(
+        "grad_tol_rel = 1e-3",
+        "step_init = 1e-15\nstep_min = 1e-12\nmax_backtracks = 2\n"
+        "growth = 1.0")
+    code, out = run_cli(tmp_path, collapse, "flow")
+    assert code == 3
+    assert "line search collapsed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert trace[0] == TRACE_HEADER
+    assert (out / "curve.csv").exists()
+    assert (out / "snapshots" / "iter0000.csv").exists()
+
+
 def test_diagnose_command(tmp_path):
     # Constant carrier with a self-paired field: the compatibility residual
     # is then pure central-difference truncation and must decay at order 2.

@@ -64,6 +64,12 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL.replace("n = 64", "n = 64\ncolor = red"))
 
 
+def test_dump_operators_is_a_flag_not_a_config_key():
+    # the operator dump is selected by the --dump-operators command line flag
+    with pytest.raises(ConfigError, match="unknown key 'dump_operators'"):
+        parse_config_text(MINIMAL + "\n[output]\ndump_operators = true\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config_text(MINIMAL + "\n[params]\nk = 1.0\nk = 2.0\n")

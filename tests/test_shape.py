@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,9 @@ from quadshape.potential import Disk, SourceTerm
 from quadshape.riemannian import covariant_derivative
 from quadshape.shape import (direct_hessian_form, evaluate_J,
                              fd_first_derivative, fd_second_derivative,
-                             hadamard_derivative, hessian_report,
-                             psi_normal_derivative, solve_state,
-                             stability_controls, steklov_form,
+                             flow_hessian_form, hadamard_derivative,
+                             hessian_report, psi_normal_derivative,
+                             solve_state, stability_controls, steklov_form,
                              symmetric_spectrum)
 
 TWO_PI = 2.0 * np.pi
@@ -49,6 +52,16 @@ def test_solve_state_rejects_bad_inputs(centered_source):
     assert solve_state(c, tight, 1.0, require_clearance=False).k == 1.0
 
 
+def test_dropped_state_frees_its_operators(centered_source):
+    # the operator bundle lives on the state only, so memory stays bounded
+    # by the states a caller keeps
+    state = solve_state(Curve.circle(1.0, n=64), centered_source, 1.0)
+    ops = weakref.ref(state.ops)
+    del state
+    gc.collect()
+    assert ops() is None
+
+
 # -- functional ------------------------------------------------------------
 
 def test_functional_matches_centered_closed_form(critical_state):
@@ -66,7 +79,7 @@ def test_functional_on_noncritical_circle():
 def test_functional_is_cached(critical_state):
     first = evaluate_J(critical_state)
     assert evaluate_J(critical_state) is not None
-    assert critical_state._J[(32, 64)] == first
+    assert critical_state._J == first
 
 
 # -- first variation -------------------------------------------------------
@@ -83,8 +96,7 @@ def test_boundary_form_against_finite_differences(centered_source, ellipse_state
     # integral; the factor argument makes the calibrated value available
     field = NormalField.from_mode("cos2", 128)
     boundary = hadamard_derivative(ellipse_state, field)
-    fd = fd_first_derivative(Curve.ellipse(1.2, 0.8, n=128), centered_source,
-                             1.0, field)
+    fd = fd_first_derivative(ellipse_state, field)
     assert fd / boundary == pytest.approx(0.5, abs=1e-9)
     half = hadamard_derivative(ellipse_state, field, factor=0.5)
     assert fd == pytest.approx(half, rel=1e-8)
@@ -110,7 +122,8 @@ def test_second_difference_of_breathing_mode(centered_source):
     # j''(0) along uniform expansion of the critical disk is m^2/(4 pi) +
     # k^2 pi = 2 pi for this configuration
     c = Curve.circle(1.0, n=256)
-    r = fd_second_derivative(c, centered_source, 1.0, np.ones(256))
+    r = fd_second_derivative(solve_state(c, centered_source, 1.0),
+                             np.ones(256))
     assert r.value == pytest.approx(TWO_PI, rel=1e-6)
     assert r.richardson_delta < 1e-4
     assert r.retries == 0
@@ -120,8 +133,8 @@ def test_second_difference_translation_invariance(centered_source):
     # translating source and domain together is a rigid motion of the
     # whole problem, so the second derivative must vanish
     c = Curve.circle(1.0, n=256)
-    r = fd_second_derivative(c, centered_source, 1.0, np.cos(c.theta),
-                             source_velocity=(1.0, 0.0))
+    r = fd_second_derivative(solve_state(c, centered_source, 1.0),
+                             np.cos(c.theta), source_velocity=(1.0, 0.0))
     assert abs(r.value) < 1e-3
 
 
@@ -130,7 +143,8 @@ def test_second_difference_shrinks_step_on_bad_curves(centered_source):
     # self-intersection; the stencil must retry with a smaller one
     c = Curve.from_radial(1.0, cos={4: 0.12}, n=128)
     direction = 40.0 * np.cos(8 * c.theta)
-    r = fd_second_derivative(c, centered_source, 1.0, direction, t_step=0.05)
+    r = fd_second_derivative(solve_state(c, centered_source, 1.0), direction,
+                             t_step=0.05)
     assert r.retries >= 1
     assert np.isfinite(r.value)
 
@@ -166,7 +180,7 @@ def test_direct_form_equals_doubled_second_difference(centered_source):
     e = Curve.ellipse(1.2, 0.8, n=128)
     state = solve_state(e, centered_source, 1.0)
     v = np.cos(2 * e.theta)
-    fd = fd_second_derivative(e, centered_source, 1.0, v)
+    fd = fd_second_derivative(state, v)
     assert direct_hessian_form(state, v) == pytest.approx(2.0 * fd.value,
                                                           rel=1e-7)
 
@@ -210,15 +224,13 @@ def test_steklov_diagonal_on_critical_disk(critical_state):
             expected, abs=1e-8)
 
 
-def test_steklov_breathing_mode_disagrees_with_arbiter(critical_state,
-                                                       centered_source):
+def test_steklov_breathing_mode_disagrees_with_arbiter(critical_state):
     # the quadratic form gives -2 pi on constants while the second
     # difference of J gives +2 pi; both are reported, neither is adjusted
     v = np.ones(256)
     form = steklov_form(critical_state, v)
     assert form == pytest.approx(-TWO_PI, abs=1e-8)
-    fd = fd_second_derivative(Curve.circle(1.0, n=256), centered_source,
-                              1.0, v)
+    fd = fd_second_derivative(critical_state, v)
     assert fd.value == pytest.approx(TWO_PI, rel=1e-6)
 
 
@@ -261,6 +273,21 @@ def test_direct_equals_flow_plus_connection_off_criticality(
     nabla = covariant_derivative(e, unit_params, a, a)
     corr = hadamard_derivative(ellipse_state, nabla.values)
     assert direct == pytest.approx(flow + corr, rel=1e-6)
+
+
+def test_hessian_report_uses_the_single_routes(ellipse_state):
+    # the report's flow and fd columns are the public routes, value for value
+    modes = ["const", "cos2", "sin3"]
+    A, t_step = 2.0, 1e-3
+    rep = hessian_report(ellipse_state, modes, A=A, t_step=t_step)
+    fields = [NormalField.from_mode(m, 128) for m in modes]
+    for pair in rep.pairs:
+        a, b = fields[pair["i"]], fields[pair["j"]]
+        assert pair["flow"] == flow_hessian_form(ellipse_state, a, b, A,
+                                                 t_step)
+        if pair["i"] == pair["j"]:
+            assert pair["fd"] == fd_second_derivative(
+                ellipse_state, a.values, t_step=t_step).value
 
 
 def test_flow_route_ignores_metric_weight_at_critical_shape(critical_state):
