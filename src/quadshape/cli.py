@@ -129,6 +129,7 @@ def cmd_evaluate(run, curve, args):
     import numpy as np
 
     from .potential import clearance_margin
+    from .reports import solver_dict
     from .shape import evaluate_J
     state = _solve(run, curve)
     J = evaluate_J(state)
@@ -147,7 +148,7 @@ def cmd_evaluate(run, curve, args):
             "max_abs": float(np.max(np.abs(state.psi))),
         },
         "clearance_margin": clearance_margin(run.source, curve),
-        "solver": {"scale": state.ops.scale, "rcond": state.ops.rcond},
+        "solver": solver_dict(state.ops),
     }
     _write_common(run, curve, state, args)
     if not args.quiet:
@@ -274,6 +275,7 @@ def cmd_diagnose(run, curve, args):
     from .riemannian import (check_metric_compatibility,
                              curvature_normal_derivative,
                              curvature_normal_derivative_fd, torsion)
+    from .reports import solver_dict
     from .shape import psi_normal_derivative, stability_controls
     state = _solve(run, curve)
     stab = stability_controls(state)
@@ -300,7 +302,7 @@ def cmd_diagnose(run, curve, args):
         "command": "diagnose",
         "config": _config_echo(run, curve),
         "clearance_margin": clearance_margin(run.source, curve),
-        "solver": {"scale": state.ops.scale, "rcond": state.ops.rcond,
+        "solver": {**solver_dict(state.ops),
                    "capacity_estimate": state.ops.capacity_estimate},
         "stability": stab.to_dict(max_eigs=run.output.max_eigs),
         "psi_normal_derivative": {

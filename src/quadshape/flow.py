@@ -59,8 +59,18 @@ class FlowRecord:
     circle_deviation: float
 
 
+# Why a line-search trial was rejected: the trial curve failed validation
+# (self-intersection, source clearance), the boundary system was singular,
+# or the Armijo decrease test failed.
+REJECTION_REASONS = ("geometry", "solver", "armijo")
+
+
 @dataclass
 class FlowResult:
+    """Outcome of ``descend``.  ``rejected`` counts the rejected line-search
+    trials by reason (keys ``REJECTION_REASONS``); like ``elapsed`` it stays
+    out of the deterministic report and trace."""
+
     initial_curve: Curve
     curve: Curve
     state: ShapeState
@@ -68,6 +78,7 @@ class FlowResult:
     reason: str
     iterations: int
     resamples: int
+    rejected: dict
     elapsed: float
 
     @property
@@ -111,10 +122,12 @@ def descend(curve, source, params, config=None, callback=None):
 
     ``params`` carries k and the curvature weight A.  Stops when the metric
     gradient norm falls under max(grad_tol, grad_tol_rel * initial norm),
-    the iteration budget runs out, or the line search collapses.  Trial
-    curves that self-intersect or pinch the source clearance count as
-    rejected steps.  ``callback(record, curve)`` fires on every accepted
-    iterate including the initial one.
+    the iteration budget runs out, or the line search collapses: no trial
+    step ever goes below ``step_min``.  Trial curves that self-intersect or
+    pinch the source clearance, singular boundary systems and failed Armijo
+    tests count as rejected trials in ``FlowResult.rejected``.
+    ``callback(record, curve)`` fires on every accepted iterate including
+    the initial one.
     """
     if config is None:
         config = FlowConfig()
@@ -146,6 +159,7 @@ def descend(curve, source, params, config=None, callback=None):
         return np.fft.irfft(coef, state.curve.n)
 
     accepted = 0
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
     for it in range(1, config.max_iters + 1):
         if records[-1].grad_norm <= tol:
             reason = "gradient"
@@ -164,17 +178,21 @@ def descend(curve, source, params, config=None, callback=None):
             break
         trial_state = None
         for _ in range(config.max_backtracks + 1):
+            if step < config.step_min:
+                break
             try:
                 trial = flow_curve(state.curve, d, -step)
                 cand = solve_state(trial, source, params.k)
+            except GeometryError:
+                rejected["geometry"] += 1
+            except SolverError:
+                rejected["solver"] += 1
+            else:
                 if evaluate_J(cand) <= J0 + config.armijo_c1 * step * slope:
                     trial_state = cand
                     break
-            except (GeometryError, SolverError):
-                pass
+                rejected["armijo"] += 1
             step *= config.shrink
-            if step < config.step_min:
-                break
         if trial_state is None:
             reason = "step_collapse"
             break
@@ -204,6 +222,7 @@ def descend(curve, source, params, config=None, callback=None):
         reason=reason,
         iterations=records[-1].iteration,
         resamples=resamples,
+        rejected=rejected,
         elapsed=time.perf_counter() - t_start,
     )
 

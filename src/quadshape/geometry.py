@@ -94,27 +94,34 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+_INTERSECT_BLOCK = 32
+
+
 def _segments_intersect_any(points):
-    """True if any two non-adjacent edges of the closed polygon cross properly."""
+    """True if any two non-adjacent edges of the closed polygon cross properly.
+
+    Edges are tested in row blocks of ``_INTERSECT_BLOCK`` against every
+    later edge (the upper triangle of the edge pair matrix), so the Python
+    loop runs n / block times.  Edge i pairs with edges j >= i + 2; edge 0
+    skips edge n - 1, its neighbour across the wrap-around.
+    """
     n = len(points)
     a = points
     b = np.roll(points, -1, axis=0)
     edge = b - a
-    for i in range(n - 2):
-        # candidate partners: all later edges except the neighbours of i
-        j0 = i + 2
-        j1 = n if i > 0 else n - 1
-        if j0 >= j1:
-            continue
-        c = a[j0:j1]
-        d = b[j0:j1]
-        e = edge[i]
-        d1 = _cross2(e, c - a[i])
-        d2 = _cross2(e, d - a[i])
-        f = d - c
-        d3 = _cross2(f, a[i] - c)
-        d4 = _cross2(f, b[i] - c)
-        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
+    for i0 in range(0, n - 2, _INTERSECT_BLOCK):
+        i1 = min(i0 + _INTERSECT_BLOCK, n - 2)
+        j0 = i0 + 2
+        rows = np.arange(i0, i1)[:, None]
+        cols = np.arange(j0, n)[None, :]
+        partner = (cols >= rows + 2) & ((rows > 0) | (cols < n - 1))
+        ai, bi, e = a[i0:i1, None], b[i0:i1, None], edge[i0:i1, None]
+        c, d, f = a[None, j0:], b[None, j0:], edge[None, j0:]
+        d1 = _cross2(e, c - ai)
+        d2 = _cross2(e, d - ai)
+        d3 = _cross2(f, ai - c)
+        d4 = _cross2(f, bi - c)
+        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & partner):
             return True
     return False
 

@@ -9,9 +9,12 @@ a disk of mass m and radius rho centered at c generates
 
 which matches the point-charge potential outside the disk and solves
 -lap(u) = m / (pi rho^2) inside it, with value and gradient continuous at
-the rim.  Volume integrals against f reduce to per-disk polar quadrature:
-Gauss-Legendre in radius crossed with a uniform (trapezoidal, hence
-spectral) angular grid.
+the rim.  The energy of the source against its own potential is closed
+form too (``source_energy``), which lets the shape functional stay on the
+boundary.  ``source_quadrature`` (per-disk polar quadrature, Gauss-Legendre
+in radius crossed with a uniform angular grid) integrates against f in the
+volume; the solver does not use it, and it stays as the tests' reference
+for the boundary energy.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def source_quadrature(source, n_radial=32, n_angular=64):
     Returns (points, weights, density) flattened over all disks, with
     Gauss-Legendre nodes in radius and a uniform angular grid, so that
     sum(weights * density * g(points)) approximates integral f g dx with
-    spectral angular and Gauss radial accuracy.
+    spectral angular and Gauss radial accuracy.  A reference for tests: the
+    shape functional is evaluated on the boundary instead.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_radial)
     phi = TWO_PI * np.arange(n_angular) / n_angular
@@ -133,19 +137,27 @@ def source_quadrature(source, n_radial=32, n_angular=64):
     return np.concatenate(pts), np.concatenate(wts), np.concatenate(dens)
 
 
-def source_energy_integral(source, u_values, n_radial=32, n_angular=64):
-    """Integral f u dx from samples of u on the matching source quadrature."""
-    _, wts, dens = source_quadrature(source, n_radial, n_angular)
-    u_values = np.asarray(u_values, dtype=float)
-    if u_values.shape != wts.shape:
-        raise ValueError("u_values must match the source quadrature layout")
-    return float(np.sum(wts * dens * u_values))
-
-
 def self_energy(disk):
     """Closed form of integral f u over a single disk against its own
     potential: m^2 (1/(8 pi) - log(rho)/(2 pi))."""
     return disk.mass**2 * (1.0 / (8.0 * np.pi) - np.log(disk.rho) / TWO_PI)
+
+
+def source_energy(source):
+    """Closed form of integral f u dx for the whole source against its own
+    potential: the disks' self energies plus the cross terms.
+
+    The disks are disjoint, so each disk's potential is harmonic on the
+    others and the mean value property turns a cross term into
+    m_i u_j(c_i) = -(m_i m_j / 2 pi) log|c_i - c_j|.
+    """
+    disks = source.disks
+    total = sum(self_energy(d) for d in disks)
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            gap = np.hypot(disks[i].cx - disks[j].cx, disks[i].cy - disks[j].cy)
+            total -= disks[i].mass * disks[j].mass * np.log(gap) / np.pi
+    return float(total)
 
 
 def _winding_contains(curve, p):

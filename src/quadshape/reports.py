@@ -168,6 +168,17 @@ def source_dict(source):
     }
 
 
+def solver_dict(ops):
+    """Solver block shared by the evaluate and diagnose reports.
+
+    LAPACK's condition estimate returns last-digit variations for identical
+    LU factors depending on where the arrays sit in memory, so rcond is
+    reported to 3 significant digits; the singularity guard in ``bem``
+    keeps the raw value.
+    """
+    return {"scale": ops.scale, "rcond": float("%.3g" % ops.rcond)}
+
+
 def curve_dict(curve):
     return {
         "n": curve.n,

@@ -6,7 +6,11 @@ away from the boundary.  The shape functional is
 
     J = -1/2 integral |grad u|^2 dx + (k^2 / 2) |Omega|,
 
-whose critical points satisfy -du/dnu = k on the whole boundary.  The first
+whose critical points satisfy -du/dnu = k on the whole boundary.  J is
+evaluated from boundary data only: integral |grad u|^2 = integral f u, and
+Green's second identity turns the volume integral into the source's closed
+form self energy plus a boundary integral of the disk potential's trace
+times u_nu, so J costs O(n) once the state is solved.  The first
 variation is carried by the boundary density psi = k^2 - u_nu^2; the
 functions below expose its boundary integral, several independent routes to
 the second variation, finite-difference arbiters for both, and spectral
@@ -33,7 +37,7 @@ from .bem import AccuracyWarning, BoundaryOperators
 from .geometry import (Curve, GeometryError, MetricParams, NormalField,
                        flow_curve, metric_inner)
 from .potential import (SourceTerm, clearance_margin, eval_potential,
-                        eval_potential_gradient, source_quadrature)
+                        eval_potential_gradient, source_energy)
 from .riemannian import covariant_derivative
 
 
@@ -52,14 +56,16 @@ def _as_field(direction, n):
 
 @dataclass
 class ShapeState:
-    """Solved state on one curve: layer density, Neumann trace, gradient
-    density psi = k^2 - u_nu^2, and the operator bundle that produced them."""
+    """Solved state on one curve: layer density, boundary trace of the disk
+    potential, Neumann trace, gradient density psi = k^2 - u_nu^2, and the
+    operator bundle that produced them."""
 
     curve: Curve
     source: SourceTerm
     k: float
     ops: BoundaryOperators
     density: object
+    trace: np.ndarray
     u_nu: np.ndarray
     psi: np.ndarray
     _J: float | None = field(default=None, repr=False)
@@ -84,19 +90,22 @@ def solve_state(curve, source, k, require_clearance=True):
     grad_p = eval_potential_gradient(source, curve.points)
     u_nu = np.sum(grad_p * curve.normal, axis=1) + ops.neumann_trace(density)
     psi = k**2 - u_nu**2
-    return ShapeState(curve, source, float(k), ops, density, u_nu, psi)
+    return ShapeState(curve, source, float(k), ops, density, trace, u_nu, psi)
 
 
 def evaluate_J(state):
-    """Shape functional via integration by parts: integral |grad u|^2 = integral f u.
+    """Shape functional from boundary data, as a Python float.
 
-    Computed once per state and memoized on it.
+    Integration by parts gives integral |grad u|^2 = integral f u.  Split
+    u = u_p + w with u_p the disk potential and w harmonic, w = -u_p on the
+    boundary.  Then integral f u_p is closed form (``source_energy``) and
+    Green's second identity gives integral f w = boundary integral of
+    u_p * u_nu, a trapezoid sum over the stored trace.  Computed once per
+    state and memoized on it.
     """
     if state._J is None:
-        pts, wts, dens = source_quadrature(state.source)
-        u = eval_potential(state.source, pts)
-        u = u + state.ops.eval_interior(state.density, pts)
-        energy = float(np.sum(wts * dens * u))
+        boundary = float(np.sum(state.trace * state.u_nu * state.curve.weights))
+        energy = source_energy(state.source) + boundary
         state._J = -0.5 * energy + 0.5 * state.k**2 * state.curve.area
     return state._J
 

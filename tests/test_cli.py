@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from quadshape.bem import BoundaryOperators
 from quadshape.cli import main
 from quadshape.flow import TRACE_HEADER
 from quadshape.geometry import Curve
-from quadshape.reports import (curves_svg, format_float, to_json, write_csv)
+from quadshape.reports import (curves_svg, format_float, solver_dict, to_json,
+                               write_csv)
 
 CRITICAL_CFG = """
 [geometry]
@@ -144,6 +146,16 @@ def test_curves_svg_structure():
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def test_reported_rcond_is_deterministic():
+    # LAPACK's estimate varies in its last digits between builds of the
+    # same n = 256 circle; the report rounds it to 3 significant digits
+    values = {solver_dict(BoundaryOperators(Curve.circle(1.0, n=256)))["rcond"]
+              for _ in range(30)}
+    assert len(values) == 1
+    rcond = values.pop()
+    assert rcond == float("%.3g" % rcond) > 0.0
 
 
 def test_evaluate_writes_report_and_artifacts(tmp_path):

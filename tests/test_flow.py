@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from quadshape.flow import (TRACE_HEADER, FlowConfig, circle_deviation,
-                            convergence_report, descend, fit_circle,
-                            trace_rows)
-from quadshape.geometry import Curve, MetricParams
-from quadshape.potential import Disk, SourceTerm
+from quadshape.flow import (REJECTION_REASONS, TRACE_HEADER, FlowConfig,
+                            circle_deviation, convergence_report, descend,
+                            fit_circle, trace_rows)
+from quadshape.geometry import Curve, MetricParams, flow_curve
+from quadshape.potential import Disk, SourceTerm, clearance_margin
+from quadshape.riemannian import riemannian_gradient
+from quadshape.shape import solve_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,6 +83,31 @@ def test_collapsed_line_search_is_reported(centered_source):
     res = descend(curve, centered_source, params, cfg)
     assert res.reason == "step_collapse"
     assert res.iterations <= 1
+
+
+def test_clearance_violating_trial_is_rejected_as_geometry():
+    # with k = 2 the gradient is about 2 everywhere, so the first trial at
+    # step 0.25 shrinks the circle to a simple curve that pinches the
+    # off-centre disk's clearance; the halved step is accepted
+    curve = Curve.circle(1.0, n=64)
+    source = SourceTerm((Disk(0.5, 0.0, 0.1, 1.0),))
+    params = MetricParams(A=1.0, k=2.0)
+    grad = riemannian_gradient(curve, params,
+                               solve_state(curve, source, params.k).psi)
+    first_trial = flow_curve(curve, grad.values, -0.25)
+    assert clearance_margin(source, first_trial) < 0.0
+    cfg = FlowConfig(max_iters=1, grad_tol_rel=0.0, step_init=0.25,
+                     stabilized=False)
+    res = descend(curve, source, params, cfg)
+    assert res.iterations == 1
+    assert res.records[-1].step == 0.125
+    assert res.rejected == {"geometry": 1, "solver": 0, "armijo": 0}
+    assert tuple(res.rejected) == REJECTION_REASONS
+
+
+def test_rejections_stay_out_of_the_report(small_flow):
+    assert set(small_flow.rejected) == set(REJECTION_REASONS)
+    assert not set(REJECTION_REASONS) & set(convergence_report(small_flow))
 
 
 def test_unstabilized_flow_roughens_the_curve(centered_source):

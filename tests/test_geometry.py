@@ -9,6 +9,7 @@ from quadshape.geometry import (Curve, GeometryError, MetricParams,
                                 metric_weight, resample_by_arclength,
                                 spectral_derivative, spectral_lowpass,
                                 trig_interpolate)
+from quadshape.geometry import _segments_intersect_any
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +109,66 @@ def test_rejects_self_intersection():
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     with pytest.raises(GeometryError):
         Curve(pts)
+
+
+def _cross2(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def reference_segments_intersect_any(points):
+    """Edge-by-edge loop: edge i against every later non-adjacent edge."""
+    n = len(points)
+    a = points
+    b = np.roll(points, -1, axis=0)
+    edge = b - a
+    for i in range(n - 2):
+        j0 = i + 2
+        j1 = n if i > 0 else n - 1
+        if j0 >= j1:
+            continue
+        c = a[j0:j1]
+        d = b[j0:j1]
+        e = edge[i]
+        d1 = _cross2(e, c - a[i])
+        d2 = _cross2(e, d - a[i])
+        f = d - c
+        d3 = _cross2(f, a[i] - c)
+        d4 = _cross2(f, b[i] - c)
+        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
+            return True
+    return False
+
+
+def test_blocked_intersection_check_matches_edge_loop():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(400):
+        n = int(rng.integers(3, 140))
+        th = np.sort(rng.uniform(0.0, TWO_PI, n))
+        r = 1.0 + rng.uniform(0.0, 1.2) * rng.standard_normal(n)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        if trial % 4 == 0:
+            pts = rng.standard_normal((n, 2))
+        expected = reference_segments_intersect_any(pts)
+        assert _segments_intersect_any(pts) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [5, 32, 33, 64, 100])
+def test_intersection_check_across_the_seam(n):
+    th = TWO_PI * np.arange(n) / n
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    # edges 0 and n - 1 meet at node 0 and never count as a crossing
+    assert not _segments_intersect_any(ring)
+    assert not reference_segments_intersect_any(ring)
+    for swap in ((0, 1), (n - 1, 0)):
+        # swapping nodes across the seam makes edges 1 and n - 1, or edges
+        # 0 and n - 2, cross
+        pts = ring.copy()
+        pts[list(swap)] = pts[list(swap[::-1])]
+        assert reference_segments_intersect_any(pts)
+        assert _segments_intersect_any(pts)
 
 
 def test_rejects_tiny_grids():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quadshape.geometry import Curve
 from quadshape.potential import (Disk, SourceTerm, clearance_margin,
                                  eval_potential, eval_potential_gradient,
-                                 self_energy, source_energy_integral,
+                                 self_energy, source_energy,
                                  source_quadrature)
 
 TWO_PI = 2.0 * np.pi
@@ -93,11 +93,14 @@ def test_self_energy_matches_quadrature():
     assert np.sum(w * dens * u) == pytest.approx(self_energy(disk), rel=1e-12)
 
 
-def test_source_energy_integral_helper():
-    src = SourceTerm((Disk(0.0, 0.0, 0.15, 2.0),))
-    pts, _, _ = source_quadrature(src)
-    value = source_energy_integral(src, eval_potential(src, pts))
-    assert value == pytest.approx(self_energy(src.disks[0]), rel=1e-10)
+def test_source_energy_matches_quadrature():
+    # two disks: self energies plus the mean-value cross term
+    src = SourceTerm((Disk(0.3, 0.1, 0.08, np.pi), Disk(-0.2, -0.1, 0.12, 2.0)))
+    pts, w, dens = source_quadrature(src, n_radial=48, n_angular=96)
+    u = eval_potential(src, pts)
+    assert source_energy(src) == pytest.approx(np.sum(w * dens * u), rel=1e-12)
+    single = SourceTerm((Disk(0.0, 0.0, 0.15, 2.0),))
+    assert source_energy(single) == self_energy(single.disks[0])
 
 
 def test_translated_source():

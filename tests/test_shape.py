@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshape.geometry import Curve, GeometryError, MetricParams, NormalField
-from quadshape.potential import Disk, SourceTerm
+from quadshape.potential import (Disk, SourceTerm, eval_potential,
+                                 source_quadrature)
 from quadshape.riemannian import covariant_derivative
 from quadshape.shape import (direct_hessian_form, evaluate_J,
                              fd_first_derivative, fd_second_derivative,
@@ -74,6 +75,39 @@ def test_functional_on_noncritical_circle():
     state = solve_state(Curve.circle(2.0, n=128), src, 0.7)
     assert evaluate_J(state) == pytest.approx(
         centered_J(2.0, 0.2, 2.0, 0.7), rel=1e-10)
+
+
+def quadrature_J(state):
+    """J from the volume route: integral f u over a polar quadrature of the
+    source disks, with u sampled through the layer potential."""
+    pts, wts, dens = source_quadrature(state.source)
+    u = eval_potential(state.source, pts) + state.ops.eval_interior(
+        state.density, pts)
+    energy = float(np.sum(wts * dens * u))
+    return -0.5 * energy + 0.5 * state.k**2 * state.curve.area
+
+
+# two disks on a radial curve with modes 2-6, as in the n = 1024 spectrum
+# benchmark geometry
+RADIAL_COS = {2: 0.04, 3: -0.03, 4: 0.02, 5: -0.04, 6: 0.03}
+RADIAL_SIN = {2: -0.02, 3: 0.04, 4: -0.03, 5: 0.01, 6: -0.04}
+TWO_DISKS = SourceTerm((Disk(0.3 * np.cos(0.7), 0.3 * np.sin(0.7), 0.08, np.pi),
+                        Disk(-0.2, -0.1, 0.08, np.pi)))
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+@pytest.mark.parametrize("geometry", ["ellipse_one_disk", "radial_two_disks"])
+def test_boundary_functional_matches_volume_quadrature(geometry, n):
+    if geometry == "ellipse_one_disk":
+        curve = Curve.ellipse(1.3, 0.9, n=n)
+        source = SourceTerm((Disk(0.2, -0.1, 0.1, TWO_PI),))
+    else:
+        curve = Curve.from_radial(1.0, cos=RADIAL_COS, sin=RADIAL_SIN, n=n)
+        source = TWO_DISKS
+    state = solve_state(curve, source, 1.0)
+    J = evaluate_J(state)
+    assert type(J) is float
+    assert J == pytest.approx(quadrature_J(state), rel=1e-13, abs=0.0)
 
 
 def test_functional_is_cached(critical_state):
