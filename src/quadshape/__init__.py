@@ -31,6 +31,7 @@ from .riemannian import (
 )
 from .shape import (
     ShapeState,
+    direct_hessian,
     direct_hessian_form,
     evaluate_J,
     fd_second_derivative,
@@ -66,6 +67,7 @@ __all__ = [
     "evaluate_J",
     "hadamard_derivative",
     "steklov_form",
+    "direct_hessian",
     "direct_hessian_form",
     "fd_second_derivative",
     "hessian_report",

@@ -233,8 +233,6 @@ def _build_flow(body):
             raise ConfigError(f"unknown key '{key}' in [flow]")
         if key in ("max_iters", "max_backtracks", "resample_every"):
             kw[key] = _parse_scalar(val, key, "flow", int)
-        elif key == "stabilized":
-            kw[key] = _parse_bool(val, key, "flow")
         else:
             kw[key] = _parse_scalar(val, key, "flow", float)
     return FlowConfig(**kw)

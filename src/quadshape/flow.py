@@ -1,11 +1,20 @@
-"""Gradient descent of the shape functional under the weighted metric.
+"""Riemannian Newton descent of the shape functional.
 
-Each iteration flows the curve along minus the metric gradient
-psi / (1 + A kappa^2) with an Armijo backtracking line search.  The
-predicted slope uses the half-weighted boundary form (the finite-difference
-calibration of the first variation), the accepted step doubles on success,
-and the node distribution is re-equalized by arclength every few accepted
-steps so the spectral quadrature stays healthy on long runs.
+Each iteration solves the regularized Newton system
+
+    (H + mu G) x = psi,    G = diag(1 + A kappa^2),
+    mu = max(0, -lambda0(G^-1/2 H G^-1/2)) + k^2 / 2,
+
+on the assembled direct Hessian H of the state (``shape.direct_hessian``;
+lambda0 is its lowest eigenvalue relative to the metric weight), and flows
+the curve by -step * x.  H + mu G is positive definite in the arclength
+product, so x is a descent direction whatever the curvature of J.  The line
+search starts every iteration at the unit Newton step and backtracks under
+an Armijo test on the half-weighted slope -sum(psi x w) / 2 (the
+finite-difference calibration of the first variation).  The stopping rule
+reads the metric gradient psi / (1 + A kappa^2), and the node distribution
+is re-equalized by arclength every few accepted steps so the spectral
+quadrature stays healthy.
 """
 
 from __future__ import annotations
@@ -14,36 +23,37 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .bem import SolverError
 from .geometry import (Curve, GeometryError, flow_curve, metric_inner,
-                       resample_by_arclength)
+                       metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
-from .shape import ShapeState, evaluate_J, solve_state
+from .shape import ShapeState, direct_hessian, evaluate_J, solve_state
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Line-search and stopping knobs for the descent loop."""
+    """Stopping and line-search knobs for the Newton descent.
+
+    The run stops when the metric gradient norm falls under
+    max(grad_tol, grad_tol_rel * initial norm) or after ``max_iters``
+    accepted steps.  Each line search starts at the unit Newton step,
+    multiplies the step by ``shrink`` after each rejected trial and gives
+    up after ``max_backtracks`` rejections or once the step would go below
+    ``step_min``; a trial is accepted when J drops by at least
+    ``armijo_c1`` times the predicted decrease.  ``resample_every``
+    accepted steps (0: never) the nodes are re-equalized by arclength.
+    """
 
     max_iters: int = 500
     grad_tol: float = 1e-12
     grad_tol_rel: float = 1e-4
-    step_init: float = 0.1
-    step_max: float = 0.25
     step_min: float = 1e-14
     armijo_c1: float = 1e-4
     shrink: float = 0.5
     max_backtracks: int = 30
-    growth: float = 2.0
     resample_every: int = 5
-    # The explicit flow is stiff: the second variation acts like a first
-    # order operator, so grid mode m feels a stepsize limit ~ 1/m and plain
-    # gradient steps let near-grid modes grow while J still decreases.
-    # With ``stabilized`` the direction is damped modewise by 1/(1 + tau m)
-    # (tau matched to the stiff symbol), which caps the effective step of
-    # every mode inside its stability region without freezing any of them.
-    stabilized: bool = True
 
 
 @dataclass(frozen=True)
@@ -117,8 +127,27 @@ def _record(i, state, grad_norm, step):
                       circle_deviation(state.curve))
 
 
+def newton_direction(state, params):
+    """Solution x of the regularized Newton system (H + mu G) x = psi.
+
+    The system is posed in the arclength product: W H is symmetric and
+    W G diagonal positive (W = diag(w)), and mu shifts the lowest
+    eigenvalue of the pencil (W H, W G) up to k^2 / 2, so the matrix
+    W (H + mu G) is positive definite and its Cholesky factor exists.
+    """
+    w = state.curve.weights
+    wg = w * metric_weight(state.curve, params)
+    wh = w[:, None] * direct_hessian(state)
+    s = 1.0 / np.sqrt(wg)
+    lam0 = scipy.linalg.eigh(s[:, None] * wh * s[None, :], eigvals_only=True,
+                             subset_by_index=[0, 0])[0]
+    mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
+    wh[np.diag_indices_from(wh)] += mu * wg
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
+
+
 def descend(curve, source, params, config=None, callback=None):
-    """Run the metric gradient descent from the given curve.
+    """Run the Riemannian Newton descent from the given curve.
 
     ``params`` carries k and the curvature weight A.  Stops when the metric
     gradient norm falls under max(grad_tol, grad_tol_rel * initial norm),
@@ -135,28 +164,17 @@ def descend(curve, source, params, config=None, callback=None):
     state = solve_state(curve, source, params.k)
     records = []
     resamples = 0
-    step = config.step_init
     reason = "max_iters"
 
-    grad = riemannian_gradient(state.curve, params, state.psi)
-    norm2 = metric_inner(state.curve, params, grad.values, grad.values)
-    records.append(_record(0, state, np.sqrt(norm2), 0.0))
+    def grad_norm(state):
+        grad = riemannian_gradient(state.curve, params, state.psi)
+        return np.sqrt(metric_inner(state.curve, params, grad.values,
+                                    grad.values))
+
+    records.append(_record(0, state, grad_norm(state), 0.0))
     if callback is not None:
         callback(records[-1], state.curve)
     tol = max(config.grad_tol, config.grad_tol_rel * records[0].grad_norm)
-
-    def direction(state, grad, step):
-        coef = np.fft.rfft(grad.values)
-        if config.stabilized:
-            # stability of mode m needs step * lambda(m) < 2 with
-            # lambda(m) ~ 2 u_nu^2 (2 pi m / L) / (1 + A kappa^2); damping
-            # by 1/(1 + tau m) with tau = step * lambda(1) saturates the
-            # effective step * lambda product at 1 for every mode
-            xi = 2.0 * np.pi / state.curve.perimeter
-            weight = 1.0 + params.A * float(np.min(state.curve.kappa**2))
-            tau = 2.0 * step * float(np.max(state.u_nu**2)) * xi / weight
-            coef = coef / (1.0 + tau * np.arange(len(coef)))
-        return np.fft.irfft(coef, state.curve.n)
 
     accepted = 0
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
@@ -165,23 +183,16 @@ def descend(curve, source, params, config=None, callback=None):
             reason = "gradient"
             break
         J0 = evaluate_J(state)
-        d = direction(state, grad, step)
-        # half-weighted slope of J along -d (matches finite differences)
-        slope = -0.5 * float(np.sum(state.psi * d * state.curve.weights))
-        if not slope < 0.0:
-            # damping is not an orthogonal projection, so fall back to the
-            # raw gradient (always a strict descent direction)
-            d = grad.values
-            slope = -0.5 * norm2
-        if not slope < 0.0:
-            reason = "step_collapse"
-            break
+        x = newton_direction(state, params)
+        # half-weighted slope of J along -x (matches finite differences)
+        slope = -0.5 * float(np.sum(state.psi * x * state.curve.weights))
+        step = 1.0
         trial_state = None
         for _ in range(config.max_backtracks + 1):
             if step < config.step_min:
                 break
             try:
-                trial = flow_curve(state.curve, d, -step)
+                trial = flow_curve(state.curve, x, -step)
                 cand = solve_state(trial, source, params.k)
             except GeometryError:
                 rejected["geometry"] += 1
@@ -203,14 +214,9 @@ def descend(curve, source, params, config=None, callback=None):
             rcurve = resample_by_arclength(state.curve)
             state = solve_state(rcurve, source, params.k)
             resamples += 1
-        grad = riemannian_gradient(state.curve, params, state.psi)
-        norm2 = metric_inner(state.curve, params, grad.values, grad.values)
-        records.append(_record(it, state, np.sqrt(norm2), step))
+        records.append(_record(it, state, grad_norm(state), step))
         if callback is not None:
             callback(records[-1], state.curve)
-        step = min(step * config.growth, config.step_max)
-    else:
-        it = config.max_iters
     if records[-1].grad_norm <= tol and reason == "max_iters":
         reason = "gradient"
 

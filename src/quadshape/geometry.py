@@ -95,6 +95,7 @@ def _cross2(u, v):
 
 
 _INTERSECT_BLOCK = 32
+_DIAMETER_BLOCK = 64
 
 
 def _segments_intersect_any(points):
@@ -233,12 +234,20 @@ class Curve:
 
     @property
     def diameter(self):
+        """Largest distance between two nodes, computed once.
+
+        Squared distances are taken in row blocks of ``_DIAMETER_BLOCK``
+        nodes against all nodes, so the Python loop runs n / block times;
+        the maximum is the same float as a node-by-node loop gives.
+        """
         d = getattr(self, "_diameter", None)
         if d is None:
-            p = self.points
+            x, y = self.points[:, 0], self.points[:, 1]
             d = 0.0
-            for i in range(self.n):
-                d = max(d, float(np.max(np.sum((p - p[i]) ** 2, axis=1))))
+            for i0 in range(0, self.n, _DIAMETER_BLOCK):
+                dx = x[None, :] - x[i0:i0 + _DIAMETER_BLOCK, None]
+                dy = y[None, :] - y[i0:i0 + _DIAMETER_BLOCK, None]
+                d = max(d, float(np.max(dx * dx + dy * dy)))
             d = float(np.sqrt(d))
             self._diameter = d
         return d

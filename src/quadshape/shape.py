@@ -14,7 +14,14 @@ times u_nu, so J costs O(n) once the state is solved.  The first
 variation is carried by the boundary density psi = k^2 - u_nu^2; the
 functions below expose its boundary integral, several independent routes to
 the second variation, finite-difference arbiters for both, and spectral
-stability diagnostics built on the Dirichlet-to-Neumann map.
+stability diagnostics built on the Dirichlet-to-Neumann map.  The direct
+route is one dense operator per state, ``direct_hessian``:
+
+    H = diag(dpsi/dnu + kappa psi) + 2 U L U,    U = diag(u_nu),
+
+with L the Dirichlet-to-Neumann matrix, symmetrized in sum(a b w) and
+memoized on the state like J; the Newton descent in ``quadshape.flow``
+solves with it.
 
 Conventions worth stating once: the boundary integral sum(psi * alpha * w)
 is reported as printed, while finite differences of J along normal flows
@@ -69,6 +76,7 @@ class ShapeState:
     u_nu: np.ndarray
     psi: np.ndarray
     _J: float | None = field(default=None, repr=False)
+    _H: np.ndarray | None = field(default=None, repr=False)
 
 
 def solve_state(curve, source, k, require_clearance=True):
@@ -192,32 +200,67 @@ def psi_normal_derivative(state, method="interior", eps=None):
     return -dg
 
 
-def direct_hessian_form(state, a, b=None, state_term=True, dpsi_method="interior"):
-    """Direct boundary evaluation of the metric Hessian form.
+def direct_hessian(state):
+    """Assembled direct Hessian operator of the raw boundary form.
 
     The derivative of the boundary gradient integral along a normal flow
     splits into the state sensitivity (the harmonic extension term, carrying
-    the Steklov operator) and a pointwise part:
+    the Dirichlet-to-Neumann matrix L) and a pointwise part, so as a matrix
+    on nodal values
 
-        sum 2 u_nu L(u_nu a) b w  +  sum (dpsi/dnu + kappa psi) a b w.
+        H = diag(dpsi/dnu + kappa psi) + 2 U L U,    U = diag(u_nu),
 
-    With ``state_term`` the value matches the flow route
+    with dpsi/dnu the "interior" closed form 2 kappa u_nu^2.  The discrete L
+    is symmetric in the arclength product sum(a b w) only up to quadrature
+    error, so H is symmetrized in that product: W H is a symmetric matrix
+    to rounding (W = diag(w)).  Like J, raw-form quantities are twice the
+    finite-difference ones: sum(a H a w) / 2 is J'' along the flow by a.
+    Assembled once per state (one dense n x n matrix) and memoized on it,
+    so it is freed with the state.
+    """
+    if state._H is None:
+        w = state.curve.weights
+        u = state.u_nu
+        U2L = 2.0 * u[:, None] * state.ops.dtn_matrix
+        U2L *= u[None, :]
+        # H = (U2L + W^-1 U2L^T W) / 2 in place, in C order, which fixes
+        # the summation order of the products taken with H
+        H = np.ascontiguousarray(U2L.T)
+        H *= w[None, :]
+        H /= w[:, None]
+        H += U2L
+        H *= 0.5
+        dpsi = psi_normal_derivative(state, "interior")
+        H[np.diag_indices_from(H)] += dpsi + state.curve.kappa * state.psi
+        state._H = H
+    return state._H
+
+
+def direct_hessian_form(state, a, b=None, state_term=True, dpsi_method="interior"):
+    """Direct boundary evaluation of the metric Hessian form.
+
+    With ``state_term`` this is sum(a (H b) w) for the assembled operator
+    ``direct_hessian(state)``, the harmonic-extension sensitivity
+    sum 2 u_nu L(u_nu a) b w plus the pointwise density
+    sum (dpsi/dnu + kappa psi) a b w; the value matches the flow route
     (``flow_hessian_form``) up to the connection correction, which vanishes
-    at critical shapes.  Without it only the pointwise density remains,
-    which on the critical disk reduces to +/- 2 k^2 sum(kappa a b w)
-    depending on ``dpsi_method``.  The form carries no metric parameter: it
-    is independent of A by construction.
+    at critical shapes.  The assembled operator uses the "interior" closed
+    form of dpsi/dnu only, so other ``dpsi_method`` values need
+    ``state_term=False``.  Without the state term only the pointwise
+    density remains, which on the critical disk reduces to
+    +/- 2 k^2 sum(kappa a b w) depending on ``dpsi_method``.  The form
+    carries no metric parameter: it is independent of A by construction.
     """
     av = _values(a, state.curve.n)
     bv = av if b is None else _values(b, state.curve.n)
     w = state.curve.weights
-    kap = state.curve.kappa
-    dpsi = psi_normal_derivative(state, dpsi_method)
-    total = float(np.sum((dpsi + kap * state.psi) * av * bv * w))
     if state_term:
-        sens = state.ops.dtn_apply(state.u_nu * av)
-        total += 2.0 * float(np.sum(state.u_nu * sens * bv * w))
-    return total
+        if dpsi_method != "interior":
+            raise ValueError("the assembled Hessian uses the 'interior' "
+                             "closed form; pass state_term=False")
+        return float(np.sum(av * (direct_hessian(state) @ bv) * w))
+    dpsi = psi_normal_derivative(state, dpsi_method)
+    return float(np.sum((dpsi + state.curve.kappa * state.psi) * av * bv * w))
 
 
 def _flowed_states(state, a, t_step):

@@ -258,10 +258,8 @@ def test_flow_command_artifacts(tmp_path):
 
 
 def test_collapsed_flow_exits_3_after_writing_artifacts(tmp_path, capsys):
-    collapse = FLOW_CFG.replace(
-        "grad_tol_rel = 1e-3",
-        "step_init = 1e-15\nstep_min = 1e-12\nmax_backtracks = 2\n"
-        "growth = 1.0")
+    # the unit first trial of every line search is below step_min
+    collapse = FLOW_CFG.replace("grad_tol_rel = 1e-3", "step_min = 2.0")
     code, out = run_cli(tmp_path, collapse, "flow")
     assert code == 3
     assert "line search collapsed" in capsys.readouterr().err

@@ -126,13 +126,11 @@ def test_flow_section_overrides():
     text = MINIMAL + """
 [flow]
 max_iters = 17
-step_init = 0.02
-stabilized = false
+step_min = 0.02
 """
     run = parse_config_text(text)
     assert run.flow.max_iters == 17
-    assert run.flow.step_init == 0.02
-    assert run.flow.stabilized is False
+    assert run.flow.step_min == 0.02
 
 
 def test_directions_list_parsing():

@@ -3,11 +3,10 @@ import pytest
 
 from quadshape.flow import (REJECTION_REASONS, TRACE_HEADER, FlowConfig,
                             circle_deviation, convergence_report, descend,
-                            fit_circle, trace_rows)
+                            fit_circle, newton_direction, trace_rows)
 from quadshape.geometry import Curve, MetricParams, flow_curve
 from quadshape.potential import Disk, SourceTerm, clearance_margin
-from quadshape.riemannian import riemannian_gradient
-from quadshape.shape import solve_state
+from quadshape.shape import direct_hessian, solve_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,31 +75,28 @@ def test_loose_tolerance_stops_early(centered_source):
 
 
 def test_collapsed_line_search_is_reported(centered_source):
+    # every line search starts at the unit step, which is below this floor
     curve = Curve.ellipse(1.1, 0.9, n=64)
     params = MetricParams(A=1.0, k=1.0)
-    cfg = FlowConfig(step_init=1e-15, step_min=1e-12, max_backtracks=2,
-                     growth=1.0)
-    res = descend(curve, centered_source, params, cfg)
+    res = descend(curve, centered_source, params, FlowConfig(step_min=2.0))
     assert res.reason == "step_collapse"
     assert res.iterations <= 1
 
 
 def test_clearance_violating_trial_is_rejected_as_geometry():
-    # with k = 2 the gradient is about 2 everywhere, so the first trial at
-    # step 0.25 shrinks the circle to a simple curve that pinches the
+    # with k = 2 the Newton direction is about 1/2 everywhere, so the unit
+    # first trial shrinks the circle to a simple curve that pinches the
     # off-centre disk's clearance; the halved step is accepted
     curve = Curve.circle(1.0, n=64)
     source = SourceTerm((Disk(0.5, 0.0, 0.1, 1.0),))
     params = MetricParams(A=1.0, k=2.0)
-    grad = riemannian_gradient(curve, params,
-                               solve_state(curve, source, params.k).psi)
-    first_trial = flow_curve(curve, grad.values, -0.25)
+    x = newton_direction(solve_state(curve, source, params.k), params)
+    first_trial = flow_curve(curve, x, -1.0)
     assert clearance_margin(source, first_trial) < 0.0
-    cfg = FlowConfig(max_iters=1, grad_tol_rel=0.0, step_init=0.25,
-                     stabilized=False)
+    cfg = FlowConfig(max_iters=1, grad_tol_rel=0.0)
     res = descend(curve, source, params, cfg)
     assert res.iterations == 1
-    assert res.records[-1].step == 0.125
+    assert res.records[-1].step == 0.5
     assert res.rejected == {"geometry": 1, "solver": 0, "armijo": 0}
     assert tuple(res.rejected) == REJECTION_REASONS
 
@@ -110,16 +106,29 @@ def test_rejections_stay_out_of_the_report(small_flow):
     assert not set(REJECTION_REASONS) & set(convergence_report(small_flow))
 
 
-def test_unstabilized_flow_roughens_the_curve(centered_source):
-    # without the modewise damping the explicit flow lets near-grid modes
-    # grow: curvature blows past anything the smooth problem contains
-    curve = Curve.ellipse(1.2, 0.8, n=64)
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_newton_descent_iterations_are_mesh_independent(centered_source, n):
+    # criterion 8's ellipse reaches the critical circle in a number of
+    # Newton steps that does not grow with the grid
+    curve = Curve.ellipse(1.2, 0.8, n=n)
     params = MetricParams(A=1.0, k=1.0)
-    cfg = FlowConfig(max_iters=40, grad_tol_rel=0.0, stabilized=False,
-                     step_init=0.25, resample_every=0)
-    res = descend(curve, centered_source, params, cfg)
-    rough = max(abs(r.min_kappa) for r in res.records)
-    assert rough > 5.0
+    res = descend(curve, centered_source, params, FlowConfig())
+    assert res.reason == "gradient"
+    assert res.iterations <= 20
+    radii = np.hypot(res.curve.points[:, 0], res.curve.points[:, 1])
+    assert np.max(np.abs(radii - 1.0)) <= 1e-3
+
+
+def test_newton_direction_solves_the_shifted_system(centered_source):
+    # (H + mu G) x = psi with mu >= k^2 / 2, and x descends: sum(psi x w) > 0
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=64), centered_source, 1.0)
+    params = MetricParams(A=1.0, k=1.0)
+    x = newton_direction(state, params)
+    g = 1.0 + params.A * state.curve.kappa**2
+    mu = (state.psi - direct_hessian(state) @ x) / (g * x)
+    assert np.ptp(mu) < 1e-9 * np.max(np.abs(mu))
+    assert mu[0] >= 0.5 * state.k**2
+    assert np.sum(state.psi * x * state.curve.weights) > 0.0
 
 
 def test_trace_rows_format(small_flow):

@@ -171,6 +171,27 @@ def test_intersection_check_across_the_seam(n):
         assert _segments_intersect_any(pts)
 
 
+def reference_diameter(points):
+    """Node-by-node loop over the squared distances."""
+    d = 0.0
+    for i in range(len(points)):
+        d = max(d, float(np.max(np.sum((points - points[i]) ** 2, axis=1))))
+    return float(np.sqrt(d))
+
+
+def test_blocked_diameter_matches_node_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = 2 ** int(rng.integers(4, 10))
+        pts = rng.standard_normal((n, 2)) * rng.uniform(0.1, 10.0, 2)
+        curve = Curve(pts, validate=False)
+        assert curve.diameter == reference_diameter(curve.points)
+    for n in (64, 128, 256, 512, 1024):
+        curve = Curve.ellipse(1.2, 0.8, n=n, center=(0.3, -0.1))
+        assert curve.diameter == reference_diameter(curve.points)
+        assert curve.diameter == pytest.approx(2.4, rel=1e-12)
+
+
 def test_rejects_tiny_grids():
     th = TWO_PI * np.arange(8) / 8
     pts = np.column_stack([np.cos(th), np.sin(th)])

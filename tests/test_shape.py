@@ -10,7 +10,7 @@ from quadshape.geometry import Curve, GeometryError, MetricParams, NormalField
 from quadshape.potential import (Disk, SourceTerm, eval_potential,
                                  source_quadrature)
 from quadshape.riemannian import covariant_derivative
-from quadshape.shape import (direct_hessian_form, evaluate_J,
+from quadshape.shape import (direct_hessian, direct_hessian_form, evaluate_J,
                              fd_first_derivative, fd_second_derivative,
                              flow_hessian_form, hadamard_derivative,
                              hessian_report, psi_normal_derivative,
@@ -228,6 +228,50 @@ def test_pointwise_density_conventions(critical_state):
                                  dpsi_method="mirror")
     assert local == pytest.approx(4 * np.pi, rel=1e-9)
     assert mirror == pytest.approx(-4 * np.pi, rel=1e-9)
+    with pytest.raises(ValueError, match="interior"):
+        direct_hessian_form(critical_state, v, dpsi_method="mirror")
+
+
+# J'' on the critical disk (R = k = 1) along the flow by each mode
+CRITICAL_SECOND_DIFFERENCE = {
+    "const": 2 * np.pi,
+    "cos1": 2 * np.pi,
+    "cos2": 3 * np.pi,
+    "cos3": 4 * np.pi,
+    "cos4": 5 * np.pi,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CRITICAL_SECOND_DIFFERENCE))
+def test_assembled_hessian_matches_the_arbiter(critical_state, mode):
+    a = NormalField.from_mode(mode, 256).values
+    H = direct_hessian(critical_state)
+    half = 0.5 * float(np.sum(a * (H @ a) * critical_state.curve.weights))
+    fd = fd_second_derivative(critical_state, a).value
+    assert half == pytest.approx(fd, rel=1e-6)
+    assert fd == pytest.approx(CRITICAL_SECOND_DIFFERENCE[mode], rel=1e-6)
+
+
+def _dtn_apply_form(state, a, b):
+    """Reference: the direct form with one LU solve per pair."""
+    w = state.curve.weights
+    dpsi = psi_normal_derivative(state, "interior")
+    local = np.sum((dpsi + state.curve.kappa * state.psi) * a * b * w)
+    sens = state.ops.dtn_apply(state.u_nu * a)
+    return float(local + 2.0 * np.sum(state.u_nu * sens * b * w))
+
+
+def test_assembled_direct_form_matches_the_dtn_apply_route(ellipse_state):
+    th = ellipse_state.curve.theta
+    fields = [np.ones(128), np.cos(2 * th), np.sin(3 * th),
+              1.0 + 0.5 * np.sin(th)]
+    for a in fields:
+        for b in fields:
+            ref = _dtn_apply_form(ellipse_state, a, b)
+            scale = np.sqrt(_dtn_apply_form(ellipse_state, a, a)
+                            * _dtn_apply_form(ellipse_state, b, b))
+            assert direct_hessian_form(ellipse_state, a, b) == pytest.approx(
+                ref, rel=1e-12, abs=1e-12 * scale)
 
 
 def test_psi_normal_derivative_methods(critical_state):
