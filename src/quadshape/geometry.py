@@ -15,13 +15,6 @@ vectors to the manifold of curves, the curvature-weighted metric
 
 and the basic operations on them: inner products, normal flows, and
 resampling to uniform arclength.
-
-Spectral accuracy holds only while the grid resolves the curve.  Each curve
-measures this as the largest relative Fourier coefficient in the top eighth
-of its modes (``Curve.resolution``).  With a geometrically decaying spectrum
-the trapezoidal rule on the curve's own densities is then accurate to about
-the square of that tail, because the aliased coefficient at mode N lies
-about twice as far out as the tail's modes.
 """
 
 from __future__ import annotations
@@ -35,10 +28,6 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 MIN_SAMPLES = 16
-
-# Spectral tail up to which a curve counts as resolved: quadratures of its
-# densities (total curvature, perimeter) then hold to about 1e-10.
-RESOLUTION_TOL = 1e-5
 
 
 class GeometryError(ValueError):
@@ -78,24 +67,6 @@ def spectral_lowpass(values, keep):
     coef = np.fft.rfft(values)
     coef[int(keep) + 1:] = 0.0
     return np.fft.irfft(coef, n)
-
-
-def spectral_tail(values):
-    """Relative size of the top eighth of the Fourier modes of periodic samples.
-
-    Returns the largest |coefficient| over modes n/2 - n/16 .. n/2, divided
-    by the largest |coefficient| over all modes (columns of a 2-D array are
-    pooled).  About 1e-16 for a trigonometric polynomial well inside the
-    grid; near 1 for grid-scale noise.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    _check_even(n)
-    coef = np.abs(np.fft.rfft(values, axis=0))
-    top = float(np.max(coef))
-    if top == 0.0:
-        return 0.0
-    return float(np.max(coef[7 * n // 16:])) / top
 
 
 def trig_interpolate(values, theta):
@@ -280,26 +251,6 @@ class Curve:
             d = float(np.sqrt(d))
             self._diameter = d
         return d
-
-    @property
-    def resolution(self):
-        """Spectral tail of the curve, computed once.
-
-        The larger of ``spectral_tail`` of the centred coordinates and of
-        ``kappa * speed`` (the rate at which the tangent turns, whose
-        integral is the total curvature).
-        """
-        r = getattr(self, "_resolution", None)
-        if r is None:
-            r = max(spectral_tail(self.points - self.points.mean(axis=0)),
-                    spectral_tail(self.kappa * self.speed))
-            self._resolution = r
-        return r
-
-    @property
-    def resolved(self):
-        """Whether ``resolution`` is within ``RESOLUTION_TOL``."""
-        return self.resolution <= RESOLUTION_TOL
 
     def scaled(self, factor):
         if factor <= 0:

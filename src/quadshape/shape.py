@@ -236,31 +236,35 @@ def direct_hessian(state):
     return state._H
 
 
-def direct_hessian_form(state, a, b=None, state_term=True, dpsi_method="interior"):
+def direct_hessian_form(state, a, b=None):
     """Direct boundary evaluation of the metric Hessian form.
 
-    With ``state_term`` this is sum(a (H b) w) for the assembled operator
+    This is sum(a (H b) w) for the assembled operator
     ``direct_hessian(state)``, the harmonic-extension sensitivity
     sum 2 u_nu L(u_nu a) b w plus the pointwise density
     sum (dpsi/dnu + kappa psi) a b w; the value matches the flow route
     (``flow_hessian_form``) up to the connection correction, which vanishes
-    at critical shapes.  The assembled operator uses the "interior" closed
-    form of dpsi/dnu only, so other ``dpsi_method`` values need
-    ``state_term=False``.  Without the state term only the pointwise
-    density remains, which on the critical disk reduces to
-    +/- 2 k^2 sum(kappa a b w) depending on ``dpsi_method``.  The form
-    carries no metric parameter: it is independent of A by construction.
+    at critical shapes.  The form carries no metric parameter: it is
+    independent of A by construction.
     """
     av = _values(a, state.curve.n)
     bv = av if b is None else _values(b, state.curve.n)
     w = state.curve.weights
-    if state_term:
-        if dpsi_method != "interior":
-            raise ValueError("the assembled Hessian uses the 'interior' "
-                             "closed form; pass state_term=False")
-        return float(np.sum(av * (direct_hessian(state) @ bv) * w))
+    return float(np.sum(av * (direct_hessian(state) @ bv) * w))
+
+
+def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
+    """The pointwise density of the direct form, without the state term.
+
+    sum (dpsi/dnu + kappa psi) a b w with dpsi/dnu from
+    ``psi_normal_derivative(state, dpsi_method)``.  On the critical disk
+    this reduces to +/- 2 k^2 sum(kappa a b w) depending on the method.
+    """
+    av = _values(a, state.curve.n)
+    bv = av if b is None else _values(b, state.curve.n)
     dpsi = psi_normal_derivative(state, dpsi_method)
-    return float(np.sum((dpsi + state.curve.kappa * state.psi) * av * bv * w))
+    return float(np.sum((dpsi + state.curve.kappa * state.psi) * av * bv
+                        * state.curve.weights))
 
 
 def _flowed_states(state, a, t_step):
@@ -437,10 +441,9 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
             row["flow_transposed"] = flow_t
             asym = max(asym, abs(row["flow"] - flow_t))
             row["direct"] = direct_hessian_form(state, ai, aj)
-            row["direct_local"] = direct_hessian_form(state, ai, aj,
-                                                      state_term=False)
-            row["direct_local_mirror"] = direct_hessian_form(
-                state, ai, aj, state_term=False, dpsi_method="mirror")
+            row["direct_local"] = pointwise_hessian_form(state, ai, aj)
+            row["direct_local_mirror"] = pointwise_hessian_form(
+                state, ai, aj, dpsi_method="mirror")
             row["steklov"] = steklov_form(state, ai, aj)
             pairs.append(row)
 

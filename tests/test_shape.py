@@ -13,8 +13,9 @@ from quadshape.riemannian import covariant_derivative
 from quadshape.shape import (direct_hessian, direct_hessian_form, evaluate_J,
                              fd_first_derivative, fd_second_derivative,
                              flow_hessian_form, hadamard_derivative,
-                             hessian_report, psi_normal_derivative,
-                             solve_state, stability_controls, steklov_form,
+                             hessian_report, pointwise_hessian_form,
+                             psi_normal_derivative, solve_state,
+                             stability_controls, steklov_form,
                              symmetric_spectrum)
 
 TWO_PI = 2.0 * np.pi
@@ -223,13 +224,10 @@ def test_pointwise_density_conventions(critical_state):
     # without the harmonic state sensitivity only +/- 2 kappa u_nu^2 + kappa
     # psi remains; both curvature orientations are exposed
     v = np.ones(256)
-    local = direct_hessian_form(critical_state, v, state_term=False)
-    mirror = direct_hessian_form(critical_state, v, state_term=False,
-                                 dpsi_method="mirror")
+    local = pointwise_hessian_form(critical_state, v)
+    mirror = pointwise_hessian_form(critical_state, v, dpsi_method="mirror")
     assert local == pytest.approx(4 * np.pi, rel=1e-9)
     assert mirror == pytest.approx(-4 * np.pi, rel=1e-9)
-    with pytest.raises(ValueError, match="interior"):
-        direct_hessian_form(critical_state, v, dpsi_method="mirror")
 
 
 # J'' on the critical disk (R = k = 1) along the flow by each mode
