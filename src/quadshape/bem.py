@@ -179,44 +179,33 @@ class BoundaryOperators:
         values = np.asarray(values, dtype=float)
         return float(np.sum(values * self.dtn_apply(values) * self.curve.weights))
 
-    def eval_interior(self, density, x, on_close="warn"):
-        """Evaluate the density's harmonic potential at interior points.
-
-        The plain trapezoid sum loses accuracy within a few grid spacings of
-        the boundary; points closer than 2*pi*diam/n trigger a warning (or a
-        SolverError with on_close="raise").
-        """
+    def _interior_offsets(self, x):
+        """Offsets x - y from the boundary nodes y to the (scaled) points x
+        and their squared lengths.  The plain trapezoid sum loses accuracy
+        within a few grid spacings of the boundary, so points closer than
+        2*pi*diam/n trigger an AccuracyWarning."""
         x = np.atleast_2d(np.asarray(x, dtype=float)) * self.scale
-        pts = self._work.points
-        diff = x[:, None, :] - pts[None, :, :]
+        diff = x[:, None, :] - self._work.points[None, :, :]
         r2 = np.sum(diff * diff, axis=-1)
-        limit = (TWO_PI * self._work.diameter / self.n) ** 2
-        if np.any(r2 < limit):
-            msg = ("interior evaluation point within one accuracy band "
-                   "(2 pi diam / n) of the boundary")
-            if on_close == "raise":
-                raise SolverError(msg)
-            warnings.warn(msg, AccuracyWarning, stacklevel=2)
+        if np.any(r2 < (TWO_PI * self._work.diameter / self.n) ** 2):
+            warnings.warn("interior evaluation point within one accuracy band "
+                          "(2 pi diam / n) of the boundary", AccuracyWarning,
+                          stacklevel=3)
+        return diff, r2
+
+    def eval_interior(self, density, x):
+        """Evaluate the density's harmonic potential at interior points."""
+        _, r2 = self._interior_offsets(x)
         kern = -0.5 * np.log(r2) / TWO_PI
         return kern @ (density.values * self._work.weights)
 
-    def eval_interior_gradient(self, density, x, on_close="warn"):
+    def eval_interior_gradient(self, density, x):
         """Gradient of the density's harmonic potential at interior points.
 
-        Same accuracy caveat as eval_interior; the kernel gradient decays
-        like 1/r, so the near-boundary band is wider in practice.
+        The kernel gradient decays like 1/r, so the near-boundary band is
+        wider in practice than the warning's.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float)) * self.scale
-        pts = self._work.points
-        diff = x[:, None, :] - pts[None, :, :]
-        r2 = np.sum(diff * diff, axis=-1)
-        limit = (TWO_PI * self._work.diameter / self.n) ** 2
-        if np.any(r2 < limit):
-            msg = ("interior gradient point within one accuracy band "
-                   "(2 pi diam / n) of the boundary")
-            if on_close == "raise":
-                raise SolverError(msg)
-            warnings.warn(msg, AccuracyWarning, stacklevel=2)
+        diff, r2 = self._interior_offsets(x)
         kern = -diff / (TWO_PI * r2[..., None])
         coef = density.values * self._work.weights
         return self.scale * np.einsum("mjd,j->md", kern, coef)

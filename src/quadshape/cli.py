@@ -43,9 +43,6 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config_path", nargs="?", default=None,
                         help="path to the run config")
-    parser.add_argument("--config", dest="config_opt", default=None,
-                        help="path to the run config (alternative to the "
-                             "positional argument)")
     parser.add_argument("--out", default="out",
                         help="output directory (default: ./out)")
     parser.add_argument("--dump-operators", action="store_true",
@@ -58,10 +55,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    path = args.config_opt or args.config_path
-    if path is None:
-        print("error: no config file given (positional or --config)",
-              file=sys.stderr)
+    if args.config_path is None:
+        print("error: no config file given", file=sys.stderr)
         return 2
 
     from .bem import SolverError
@@ -69,7 +64,7 @@ def main(argv=None):
     from .geometry import GeometryError
 
     try:
-        run = load_config(path)
+        run = load_config(args.config_path)
         curve = run.build_curve()
     except (ConfigError, GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,8 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .flow import FlowConfig
 from .geometry import Curve, MetricParams
@@ -90,6 +91,10 @@ class RunConfig:
 
 DEFAULT_DIRECTIONS = ("const", "cos1", "cos2", "sin2")
 
+# Sections whose keys are exactly the fields of one dataclass.
+SCALAR_SECTIONS = {"params": MetricParams, "fd": FDSpec, "flow": FlowConfig,
+                   "output": OutputSpec}
+
 
 def _parse_scalar(text, key, section, caster):
     try:
@@ -131,7 +136,7 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in [{current[0]}]")
         current[1][key] = value.strip()
 
-    known = {"geometry", "source", "params", "fd", "directions", "flow", "output"}
+    known = {"geometry", "source", "directions", *SCALAR_SECTIONS}
     seen = set()
     for name, _ in sections:
         if name not in known:
@@ -142,27 +147,14 @@ def parse_config_text(text):
 
     geometry = GeometrySpec()
     disks = []
-    params_kw = {}
-    fd = FDSpec()
     directions = DEFAULT_DIRECTIONS
-    flow = FlowConfig()
-    output = OutputSpec()
+    scalars = {}
 
     for name, body in sections:
         if name == "geometry":
             geometry = _build_geometry(body)
         elif name == "source":
             disks.append(_build_disk(body))
-        elif name == "params":
-            for key, val in body.items():
-                if key not in ("k", "A"):
-                    raise ConfigError(f"unknown key '{key}' in [params]")
-                params_kw[key] = _parse_scalar(val, key, "params", float)
-        elif name == "fd":
-            for key, val in body.items():
-                if key != "t_step":
-                    raise ConfigError(f"unknown key '{key}' in [fd]")
-                fd = FDSpec(t_step=_parse_scalar(val, key, "fd", float))
         elif name == "directions":
             for key, val in body.items():
                 if key != "modes":
@@ -170,19 +162,37 @@ def parse_config_text(text):
                 directions = tuple(m.strip() for m in val.split(",") if m.strip())
                 if not directions:
                     raise ConfigError("[directions] modes list is empty")
-        elif name == "flow":
-            flow = _build_flow(body)
-        elif name == "output":
-            output = _build_output(body)
+        else:
+            scalars[name] = _parse_section(SCALAR_SECTIONS[name], body, name)
 
     if not disks:
         raise ConfigError("at least one [source] section is required")
     try:
         source = SourceTerm(tuple(disks))
-        params = MetricParams(**params_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(geometry, source, params, fd, directions, flow, output)
+    for name, cls in SCALAR_SECTIONS.items():
+        scalars.setdefault(name, cls())
+    return RunConfig(geometry=geometry, source=source, directions=directions,
+                     **scalars)
+
+
+def _parse_section(cls, body, section):
+    """The dataclass ``cls`` built from a section's keys, each value cast
+    to its field's type (``_parse_bool`` for bool fields)."""
+    types = get_type_hints(cls)
+    kw = {}
+    for key, val in body.items():
+        if key not in types:
+            raise ConfigError(f"unknown key '{key}' in [{section}]")
+        if types[key] is bool:
+            kw[key] = _parse_bool(val, key, section)
+        else:
+            kw[key] = _parse_scalar(val, key, section, types[key])
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_geometry(body):
@@ -223,31 +233,6 @@ def _build_disk(body):
         return Disk(kw.get("x", 0.0), kw.get("y", 0.0), kw["rho"], kw["mass"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _build_flow(body):
-    valid = {f.name: f.type for f in fields(FlowConfig)}
-    kw = {}
-    for key, val in body.items():
-        if key not in valid:
-            raise ConfigError(f"unknown key '{key}' in [flow]")
-        if key in ("max_iters", "max_backtracks", "resample_every"):
-            kw[key] = _parse_scalar(val, key, "flow", int)
-        else:
-            kw[key] = _parse_scalar(val, key, "flow", float)
-    return FlowConfig(**kw)
-
-
-def _build_output(body):
-    kw = {}
-    for key, val in body.items():
-        if key == "svg":
-            kw[key] = _parse_bool(val, key, "output")
-        elif key in ("snapshot_every", "max_eigs"):
-            kw[key] = _parse_scalar(val, key, "output", int)
-        else:
-            raise ConfigError(f"unknown key '{key}' in [output]")
-    return OutputSpec(**kw)
 
 
 def load_config(path):

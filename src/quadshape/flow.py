@@ -14,7 +14,9 @@ an Armijo test on the half-weighted slope -sum(psi x w) / 2 (the
 finite-difference calibration of the first variation).  The stopping rule
 reads the metric gradient psi / (1 + A kappa^2), and the node distribution
 is re-equalized by arclength every few accepted steps so the spectral
-quadrature stays healthy.
+quadrature stays healthy.  ``FlowConfig`` holds the stopping rule only
+(``max_iters``, ``grad_tol_rel``); the line-search and resampling
+constants are fixed at module level.
 """
 
 from __future__ import annotations
@@ -32,28 +34,30 @@ from .riemannian import riemannian_gradient
 from .shape import ShapeState, direct_hessian, evaluate_J, solve_state
 
 
+# Line-search and resampling constants.  Each line search starts at the
+# unit Newton step and multiplies it by SHRINK after each rejected trial, at
+# most MAX_BACKTRACKS times (the last trial is 0.5^30, about 9e-10); a trial
+# is accepted when J drops by at least ARMIJO_C1 times the predicted
+# decrease.  Every RESAMPLE_EVERY accepted steps the nodes are re-equalized
+# by arclength.  GRAD_TOL is the absolute floor of the stopping tolerance.
+GRAD_TOL = 1e-12
+ARMIJO_C1 = 1e-4
+SHRINK = 0.5
+MAX_BACKTRACKS = 30
+RESAMPLE_EVERY = 5
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stopping and line-search knobs for the Newton descent.
+    """Stopping rule of the Newton descent.
 
     The run stops when the metric gradient norm falls under
-    max(grad_tol, grad_tol_rel * initial norm) or after ``max_iters``
-    accepted steps.  Each line search starts at the unit Newton step,
-    multiplies the step by ``shrink`` after each rejected trial and gives
-    up after ``max_backtracks`` rejections or once the step would go below
-    ``step_min``; a trial is accepted when J drops by at least
-    ``armijo_c1`` times the predicted decrease.  ``resample_every``
-    accepted steps (0: never) the nodes are re-equalized by arclength.
+    max(GRAD_TOL, grad_tol_rel * initial norm) or after ``max_iters``
+    accepted steps.
     """
 
     max_iters: int = 500
-    grad_tol: float = 1e-12
     grad_tol_rel: float = 1e-4
-    step_min: float = 1e-14
-    armijo_c1: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 30
-    resample_every: int = 5
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,13 @@ def descend(curve, source, params, config=None, callback=None):
     """Run the Riemannian Newton descent from the given curve.
 
     ``params`` carries k and the curvature weight A.  Stops when the metric
-    gradient norm falls under max(grad_tol, grad_tol_rel * initial norm),
-    the iteration budget runs out, or the line search collapses: no trial
-    step ever goes below ``step_min``.  Trial curves that self-intersect or
-    pinch the source clearance, singular boundary systems and failed Armijo
-    tests count as rejected trials in ``FlowResult.rejected``.
+    gradient norm falls under max(GRAD_TOL, grad_tol_rel * initial norm),
+    the iteration budget runs out, or the line search collapses (all
+    MAX_BACKTRACKS + 1 trials rejected).  Trial curves that self-intersect
+    or pinch the source clearance, singular boundary systems and failed
+    Armijo tests count as rejected trials in ``FlowResult.rejected``.  A
+    resampled curve that fails validation or its solve is dropped and the
+    accepted state kept; ``FlowResult.resamples`` counts the resamples kept.
     ``callback(record, curve)`` fires on every accepted iterate including
     the initial one.
     """
@@ -174,7 +180,7 @@ def descend(curve, source, params, config=None, callback=None):
     records.append(_record(0, state, grad_norm(state), 0.0))
     if callback is not None:
         callback(records[-1], state.curve)
-    tol = max(config.grad_tol, config.grad_tol_rel * records[0].grad_norm)
+    tol = max(GRAD_TOL, config.grad_tol_rel * records[0].grad_norm)
 
     accepted = 0
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
@@ -188,9 +194,7 @@ def descend(curve, source, params, config=None, callback=None):
         slope = -0.5 * float(np.sum(state.psi * x * state.curve.weights))
         step = 1.0
         trial_state = None
-        for _ in range(config.max_backtracks + 1):
-            if step < config.step_min:
-                break
+        for _ in range(MAX_BACKTRACKS + 1):
             try:
                 trial = flow_curve(state.curve, x, -step)
                 cand = solve_state(trial, source, params.k)
@@ -199,21 +203,24 @@ def descend(curve, source, params, config=None, callback=None):
             except SolverError:
                 rejected["solver"] += 1
             else:
-                if evaluate_J(cand) <= J0 + config.armijo_c1 * step * slope:
+                if evaluate_J(cand) <= J0 + ARMIJO_C1 * step * slope:
                     trial_state = cand
                     break
                 rejected["armijo"] += 1
-            step *= config.shrink
+            step *= SHRINK
         if trial_state is None:
             reason = "step_collapse"
             break
 
         state = trial_state
         accepted += 1
-        if config.resample_every and accepted % config.resample_every == 0:
-            rcurve = resample_by_arclength(state.curve)
-            state = solve_state(rcurve, source, params.k)
-            resamples += 1
+        if accepted % RESAMPLE_EVERY == 0:
+            try:
+                state = solve_state(resample_by_arclength(state.curve),
+                                    source, params.k)
+                resamples += 1
+            except (GeometryError, SolverError):
+                pass  # the accepted state has passed both checks
         records.append(_record(it, state, grad_norm(state), step))
         if callback is not None:
             callback(records[-1], state.curve)

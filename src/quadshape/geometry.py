@@ -377,14 +377,14 @@ def flow_curve(curve, field, t, validate=True):
     return Curve(curve.points + t * av[:, None] * curve.normal, validate=validate)
 
 
-def resample_by_arclength(curve, newton_tol=1e-13, max_newton=50):
+def resample_by_arclength(curve):
     """Redistribute the nodes to uniform arclength spacing.
 
     The cumulative arclength of the trigonometric interpolant is inverted
-    with Newton's method and the curve is re-sampled at the preimages of a
-    uniform arclength grid.  The basepoint theta = 0 is kept fixed.  For
-    smooth curves the enclosed area changes only at the level of the
-    interpolation error.
+    with Newton's method (to 1e-13 * 2 pi in theta, at most 50 steps) and
+    the curve is re-sampled at the preimages of a uniform arclength grid.
+    The basepoint theta = 0 is kept fixed.  For smooth curves the enclosed
+    area changes only at the level of the interpolation error.
     """
     n = curve.n
     coef = np.fft.rfft(curve.speed)
@@ -407,11 +407,11 @@ def resample_by_arclength(curve, newton_tol=1e-13, max_newton=50):
     total = curve.perimeter
     targets = total * np.arange(n) / n
     th = targets / sbar
-    for _ in range(max_newton):
+    for _ in range(50):
         s_val, s_der = arclen(th)
         step = (s_val - targets) / s_der
         th = th - step
-        if float(np.max(np.abs(step))) < newton_tol * TWO_PI:
+        if float(np.max(np.abs(step))) < 1e-13 * TWO_PI:
             break
     th[0] = 0.0
     return Curve(curve.interpolate_points(th))

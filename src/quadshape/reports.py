@@ -44,14 +44,14 @@ def _json_string(s):
     return "".join(out)
 
 
-def _json_value(value, indent, level):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _json_value(value, level):
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{pad}{_json_string(str(k))}: {_json_value(v, indent, level + 1)}"
+            f"{pad}{_json_string(str(k))}: {_json_value(v, level + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
@@ -60,7 +60,7 @@ def _json_value(value, indent, level):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [f"{pad}{_json_value(v, indent, level + 1)}" for v in value]
+        items = [f"{pad}{_json_value(v, level + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     if isinstance(value, str):
         return _json_string(value)
@@ -75,8 +75,8 @@ def _json_value(value, indent, level):
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
-def to_json(value, indent=2):
-    return _json_value(value, indent, 0) + "\n"
+def to_json(value):
+    return _json_value(value, 0) + "\n"
 
 
 def write_json(value, path):
@@ -111,8 +111,9 @@ def write_matrix_csv(matrix, path):
             fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
-def curves_svg(curves, labels=None, size=220, pad=12):
+def curves_svg(curves, labels=None):
     """A horizontal strip of curve snapshots as a standalone SVG string."""
+    size, pad = 220, 12   # square panel per snapshot and its margin, in px
     if labels is None:
         labels = [""] * len(curves)
     spans = []

@@ -131,9 +131,10 @@ def curvature_normal_derivative(curve, convention="outward"):
     raise ValueError("convention must be 'outward' or 'inward'")
 
 
-def curvature_normal_derivative_fd(curve, t_step=1e-5):
+def curvature_normal_derivative_fd(curve):
     """Finite-difference arbiter: central difference of the curvature under
-    the unit outward flow c + t nu."""
+    the unit outward flow c + t nu, at t = +-1e-5."""
+    t_step = 1e-5
     ones = NormalField.constant(1.0, curve.n)
     kp = flow_curve(curve, ones, t_step, validate=False).kappa
     km = flow_curve(curve, ones, -t_step, validate=False).kappa

@@ -26,11 +26,10 @@ solves with it.
 Conventions worth stating once: the boundary integral sum(psi * alpha * w)
 is reported as printed, while finite differences of J along normal flows
 consistently produce half of it; the ratio is reported, never silently
-absorbed (a ``factor`` argument lets callers rescale).  Likewise the
-pointwise second-variation density is computed in both curvature
-orientation conventions, and the Steklov-type quadratic form is kept
-separate from the finite-difference arbiter that disagrees with it on the
-breathing mode.
+absorbed.  Likewise the pointwise second-variation density is computed in
+both curvature orientation conventions, and the Steklov-type quadratic form
+is kept separate from the finite-difference arbiter that disagrees with it
+on the breathing mode.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class ShapeState:
     _H: np.ndarray | None = field(default=None, repr=False)
 
 
-def solve_state(curve, source, k, require_clearance=True):
+def solve_state(curve, source, k):
     """Solve the Dirichlet state on the curve and collect boundary data.
 
     The particular solution is the closed-form disk potential; the harmonic
@@ -89,7 +88,7 @@ def solve_state(curve, source, k, require_clearance=True):
     """
     if not np.isfinite(k) or k <= 0:
         raise ValueError("k must be positive")
-    if require_clearance and clearance_margin(source, curve) < 0.0:
+    if clearance_margin(source, curve) < 0.0:
         raise GeometryError("source disks must sit inside the curve with one "
                             "radius of clearance to the boundary")
     ops = BoundaryOperators(curve)
@@ -118,15 +117,15 @@ def evaluate_J(state):
     return state._J
 
 
-def hadamard_derivative(state, direction, factor=1.0):
-    """Boundary form of the first variation: factor * sum(psi * alpha * w).
+def hadamard_derivative(state, direction):
+    """Boundary form of the first variation: the raw boundary integral
+    sum(psi * alpha * w).
 
-    With factor = 1 this is the raw boundary integral; finite differences of
-    J along the same flow consistently fit factor = 1/2 (see
-    ``fd_first_derivative``), and the ratio is surfaced in reports.
+    Finite differences of J along the same flow consistently give half of
+    it (see ``fd_first_derivative``), and the ratio is surfaced in reports.
     """
     alpha = _values(direction, state.curve.n)
-    return factor * float(np.sum(state.psi * alpha * state.curve.weights))
+    return float(np.sum(state.psi * alpha * state.curve.weights))
 
 
 def fd_first_derivative(state, direction, t_step=None):
@@ -163,7 +162,7 @@ def steklov_form(state, a, b=None):
     return state.k**2 * (dtn_term - curv_term)
 
 
-def psi_normal_derivative(state, method="interior", eps=None):
+def psi_normal_derivative(state, method="interior"):
     """Normal derivative of the gradient density psi = k^2 - |grad u|^2.
 
     method "interior": closed form 2 kappa u_nu^2, from u_nunu = -kappa u_nu
@@ -172,10 +171,10 @@ def psi_normal_derivative(state, method="interior", eps=None):
     method "mirror": -2 kappa u_nu^2, the same expression with curvature
     measured against the inward normal; kept for side-by-side reporting.
     method "sampled": one-sided second-order difference of |grad u|^2
-    sampled a short distance inside along -nu; a cross-check of the closed
-    form, accurate only to a few percent (the sampling depth trades
-    quadrature decay against stencil truncation), and it assumes the sample
-    points stay outside the source disks.
+    at depths eps and 2 eps inside along -nu, eps = 4 diam / n; a
+    cross-check of the closed form, accurate only to a few percent (the
+    sampling depth trades quadrature decay against stencil truncation), and
+    it assumes the sample points stay outside the source disks.
     """
     kap = state.curve.kappa
     if method == "interior":
@@ -184,8 +183,7 @@ def psi_normal_derivative(state, method="interior", eps=None):
         return -2.0 * kap * state.u_nu**2
     if method != "sampled":
         raise ValueError("method must be 'interior', 'mirror', or 'sampled'")
-    if eps is None:
-        eps = 4.0 * state.curve.diameter / state.curve.n
+    eps = 4.0 * state.curve.diameter / state.curve.n
     g0 = state.u_nu**2
     samples = []
     with warnings.catch_warnings():
@@ -312,14 +310,13 @@ class SecondDifference:
     retries: int
 
 
-def fd_second_derivative(state, direction, t_step=None, source_velocity=None,
-                         max_retries=5):
+def fd_second_derivative(state, direction, t_step=None, source_velocity=None):
     """Richardson-extrapolated second difference of J along a normal flow.
 
     Five-point stencil: central second differences at steps t and t/2 are
     combined to fourth order; their gap is reported as a convergence
     indicator.  If a flowed curve self-intersects or violates source
-    clearance the step shrinks by 4, up to ``max_retries`` times.
+    clearance the step shrinks by 4, up to 5 times.
     ``source_velocity`` translates the source with the flow, which makes J
     exactly invariant along rigid translations (direction <e, nu> with
     velocity e).  The centre value is the state's own (memoized) J.
@@ -344,7 +341,7 @@ def fd_second_derivative(state, direction, t_step=None, source_velocity=None,
             break
         except GeometryError:
             retries += 1
-            if retries > max_retries:
+            if retries > 5:
                 raise
             t_step *= 0.25
     coarse = (jp - 2.0 * j0 + jm) / t_step**2
@@ -385,14 +382,14 @@ class HessianReport:
         }
 
 
-def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
+def hessian_report(state, directions, A=1.0, t_step=1e-3):
     """Evaluate every Hessian route on all direction pairs.
 
     ``directions`` is a list of mode labels ('const', 'cos2', ...) or normal
     fields.  The flow route shares two state solves per direction across all
     pairs; finite differences on off-diagonal pairs use the polarization
     identity.  Fitted slopes regress each route against the
-    finite-difference column (or the flow column when fd is disabled).
+    finite-difference column.
     """
     k = state.k
     n = state.curve.n
@@ -429,13 +426,12 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
         for j in range(i, len(fields)):
             ai, aj = fields[i].values, fields[j].values
             row = {"i": i, "j": j, "pair": f"{labels[i]}*{labels[j]}"}
-            if with_fd:
-                if i == j:
-                    row["fd"] = fd_diag(ai)
-                else:
-                    qp = fd_diag(ai + aj)
-                    qm = fd_diag(ai - aj)
-                    row["fd"] = 0.25 * (qp - qm)
+            if i == j:
+                row["fd"] = fd_diag(ai)
+            else:
+                qp = fd_diag(ai + aj)
+                qm = fd_diag(ai - aj)
+                row["fd"] = 0.25 * (qp - qm)
             row["flow"] = flow_value(i, j)
             flow_t = flow_value(j, i)
             row["flow_transposed"] = flow_t
@@ -447,13 +443,10 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3, with_fd=True):
             row["steklov"] = steklov_form(state, ai, aj)
             pairs.append(row)
 
-    ref_key = "fd" if with_fd else "flow"
-    ref = np.array([p[ref_key] for p in pairs])
+    ref = np.array([p["fd"] for p in pairs])
     fitted = {}
     denom = float(np.sum(ref * ref))
-    for route in HESSIAN_ROUTES:
-        if route == ref_key or route not in pairs[0]:
-            continue
+    for route in HESSIAN_ROUTES[1:]:   # every route but the fd reference
         col = np.array([p[route] for p in pairs])
         fitted[route] = float(np.sum(col * ref) / denom) if denom > 0 else float("nan")
     return HessianReport(labels, A, k, t_step, pairs, fitted, asym)

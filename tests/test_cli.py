@@ -197,15 +197,6 @@ def test_dump_operators_flag(tmp_path):
     assert (out / "dtn.csv").exists()
 
 
-def test_config_flag_alternative(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(CRITICAL_CFG)
-    out = tmp_path / "out"
-    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
-                 "--quiet"]) == 0
-    assert (out / "report.json").exists()
-
-
 def test_quiet_suppresses_summary(tmp_path, capsys):
     run_cli(tmp_path, CRITICAL_CFG, "evaluate")
     assert capsys.readouterr().out == ""
@@ -257,16 +248,34 @@ def test_flow_command_artifacts(tmp_path):
     assert svg.startswith("<svg") and "iter 0" in svg
 
 
+# The circle shrinks onto the off-centre disk's clearance limit until the
+# line search collapses; on the way a resampled curve pinches the clearance.
+CLEARANCE_COLLAPSE_CFG = """
+[geometry]
+kind = circle
+radius = 1
+n = 64
+
+[source]
+x = 0.5
+y = 0
+rho = 0.1
+mass = 1
+
+[params]
+k = 2
+"""
+
+
 def test_collapsed_flow_exits_3_after_writing_artifacts(tmp_path, capsys):
-    # the unit first trial of every line search is below step_min
-    collapse = FLOW_CFG.replace("grad_tol_rel = 1e-3", "step_min = 2.0")
-    code, out = run_cli(tmp_path, collapse, "flow")
+    code, out = run_cli(tmp_path, CLEARANCE_COLLAPSE_CFG, "flow")
     assert code == 3
     assert "line search collapsed" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == TRACE_HEADER
     assert (out / "curve.csv").exists()
+    assert (out / "flow.svg").exists()
     assert (out / "snapshots" / "iter0000.csv").exists()
 
 

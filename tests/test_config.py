@@ -126,11 +126,20 @@ def test_flow_section_overrides():
     text = MINIMAL + """
 [flow]
 max_iters = 17
-step_min = 0.02
+grad_tol_rel = 0.02
 """
     run = parse_config_text(text)
     assert run.flow.max_iters == 17
-    assert run.flow.step_min == 0.02
+    assert run.flow.grad_tol_rel == 0.02
+
+
+@pytest.mark.parametrize("key", ["grad_tol", "armijo_c1", "shrink",
+                                 "max_backtracks", "resample_every",
+                                 "step_min"])
+def test_line_search_constants_are_not_config_keys(key):
+    # [flow] holds the stopping rule only: max_iters and grad_tol_rel
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[flow\\]"):
+        parse_config_text(MINIMAL + f"\n[flow]\n{key} = 1\n")
 
 
 def test_directions_list_parsing():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from quadshape.flow import (REJECTION_REASONS, TRACE_HEADER, FlowConfig,
-                            circle_deviation, convergence_report, descend,
-                            fit_circle, newton_direction, trace_rows)
-from quadshape.geometry import Curve, MetricParams, flow_curve
+from quadshape import flow
+from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
+                            FlowConfig, circle_deviation, convergence_report,
+                            descend, fit_circle, newton_direction, trace_rows)
+from quadshape.geometry import Curve, GeometryError, MetricParams, flow_curve
 from quadshape.potential import Disk, SourceTerm, clearance_margin
 from quadshape.shape import direct_hessian, solve_state
 
@@ -74,13 +75,31 @@ def test_loose_tolerance_stops_early(centered_source):
     assert res.iterations <= 10
 
 
-def test_collapsed_line_search_is_reported(centered_source):
-    # every line search starts at the unit step, which is below this floor
+def test_collapsed_line_search_is_reported():
+    # the circle shrinks onto the off-centre disk's clearance limit until
+    # every trial of a line search pinches it
+    curve = Curve.circle(1.0, n=64)
+    source = SourceTerm((Disk(0.5, 0.0, 0.1, 1.0),))
+    params = MetricParams(A=1.0, k=2.0)
+    res = descend(curve, source, params, FlowConfig())
+    assert res.reason == "step_collapse"
+    assert res.rejected["geometry"] >= MAX_BACKTRACKS + 1
+    assert res.rejected["armijo"] == 0
+
+
+def test_failed_resample_keeps_the_accepted_state(centered_source,
+                                                  monkeypatch):
+    def fail(curve):
+        raise GeometryError("resampled curve self-intersects")
+
+    monkeypatch.setattr(flow, "resample_by_arclength", fail)
     curve = Curve.ellipse(1.1, 0.9, n=64)
     params = MetricParams(A=1.0, k=1.0)
-    res = descend(curve, centered_source, params, FlowConfig(step_min=2.0))
-    assert res.reason == "step_collapse"
-    assert res.iterations <= 1
+    res = descend(curve, centered_source, params,
+                  FlowConfig(max_iters=6, grad_tol_rel=0.0))
+    assert res.iterations == 6
+    assert res.resamples == 0
+    assert res.curve.n == 64
 
 
 def test_clearance_violating_trial_is_rejected_as_geometry():

@@ -50,8 +50,6 @@ def test_solve_state_rejects_bad_inputs(centered_source):
     tight = SourceTerm((Disk(0.85, 0.0, 0.1, 1.0),))
     with pytest.raises(GeometryError):
         solve_state(c, tight, 1.0)
-    # clearance enforcement can be waived explicitly
-    assert solve_state(c, tight, 1.0, require_clearance=False).k == 1.0
 
 
 def test_dropped_state_frees_its_operators(centered_source):
@@ -128,13 +126,12 @@ def test_gradient_vanishes_at_critical_disk(critical_state):
 
 def test_boundary_form_against_finite_differences(centered_source, ellipse_state):
     # finite differences of J consistently return half the raw boundary
-    # integral; the factor argument makes the calibrated value available
+    # integral
     field = NormalField.from_mode("cos2", 128)
     boundary = hadamard_derivative(ellipse_state, field)
     fd = fd_first_derivative(ellipse_state, field)
     assert fd / boundary == pytest.approx(0.5, abs=1e-9)
-    half = hadamard_derivative(ellipse_state, field, factor=0.5)
-    assert fd == pytest.approx(half, rel=1e-8)
+    assert fd == pytest.approx(0.5 * boundary, rel=1e-8)
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0),
