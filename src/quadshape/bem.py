@@ -79,9 +79,7 @@ def assemble_single_layer(curve):
     k = np.fft.fftfreq(n, d=1.0 / n)
     inv = np.zeros(n)
     inv[1:] = 0.5 / np.abs(k[1:])
-    col = np.fft.ifft(inv).real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    logpart = col[idx]
+    logpart = scipy.linalg.circulant(np.fft.ifft(inv).real)
     return smooth * curve.weights[None, :] + logpart * curve.speed[None, :]
 
 

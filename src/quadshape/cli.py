@@ -273,7 +273,7 @@ def cmd_diagnose(run, curve, args):
     from .reports import solver_dict
     from .shape import psi_normal_derivative, stability_controls
     state = _solve(run, curve)
-    stab = stability_controls(state)
+    stab = stability_controls(state, run.output.max_eigs)
 
     dpsi_closed = psi_normal_derivative(state, "interior")
     dpsi_sampled = psi_normal_derivative(state, "sampled")
@@ -299,7 +299,7 @@ def cmd_diagnose(run, curve, args):
         "clearance_margin": clearance_margin(run.source, curve),
         "solver": {**solver_dict(state.ops),
                    "capacity_estimate": state.ops.capacity_estimate},
-        "stability": stab.to_dict(max_eigs=run.output.max_eigs),
+        "stability": stab.to_dict(),
         "psi_normal_derivative": {
             "max_abs_closed": scale,
             "max_diff_sampled": float(np.max(np.abs(dpsi_closed - dpsi_sampled))),
@@ -334,15 +334,16 @@ def cmd_spectrum(run, curve, args):
 
     from .shape import stability_controls, symmetric_spectrum
     state = _solve(run, curve)
-    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix, curve.weights)
-    stab = stability_controls(state)
-    kmax = run.output.max_eigs
+    count = run.output.max_eigs
+    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix, curve.weights,
+                                     count)
+    stab = stability_controls(state, count)
     report = {
         "command": "spectrum",
         "config": _config_echo(run, curve),
-        "dtn_eigenvalues": [float(v) for v in dtn_vals[:kmax]],
-        "stability_minus": [float(v) for v in stab.eigenvalues_minus[:kmax]],
-        "stability_plus": [float(v) for v in stab.eigenvalues_plus[:kmax]],
+        "dtn_eigenvalues": [float(v) for v in dtn_vals],
+        "stability_minus": [float(v) for v in stab.eigenvalues_minus],
+        "stability_plus": [float(v) for v in stab.eigenvalues_plus],
         "lambda0_minus": stab.lambda0_minus,
         "lambda0_plus": stab.lambda0_plus,
     }

@@ -74,6 +74,10 @@ class OutputSpec:
     svg: bool = True
     max_eigs: int = 16
 
+    def __post_init__(self):
+        if self.max_eigs < 1:
+            raise ValueError("max_eigs must be at least 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:

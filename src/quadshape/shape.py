@@ -38,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .bem import AccuracyWarning, BoundaryOperators
 from .geometry import (Curve, GeometryError, MetricParams, NormalField,
@@ -455,16 +456,22 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
 # -- stability diagnostics -------------------------------------------------
 
 
-def symmetric_spectrum(matrix, weights):
-    """Eigendecomposition of an operator symmetric in the weighted inner
-    product sum(a b w): returns ascending eigenvalues and eigenvectors
-    orthonormal in that product, with a deterministic sign convention."""
+def symmetric_spectrum(matrix, weights, count):
+    """Lowest ``count`` eigenpairs of an operator symmetric in the weighted
+    inner product sum(a b w): ascending eigenvalues and eigenvectors
+    orthonormal in that product, with a deterministic sign convention.
+
+    Only those eigenpairs are computed, by one LAPACK subset solve
+    (``dsyevr``); ``count`` is capped at the matrix order.
+    """
     s = np.sqrt(weights)
+    count = min(count, len(weights))
     sym = (matrix * s[:, None]) / s[None, :]
     sym = 0.5 * (sym + sym.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, count - 1],
+                                   driver="evr")
     vecs = vecs / s[:, None]
-    for col in range(vecs.shape[1]):
+    for col in range(count):
         pivot = int(np.argmax(np.abs(vecs[:, col])))
         if vecs[pivot, col] < 0:
             vecs[:, col] = -vecs[:, col]
@@ -490,11 +497,7 @@ class StabilityReport:
     verdicts: dict
     remarks: dict
 
-    def to_dict(self, max_eigs=None):
-        em = self.eigenvalues_minus
-        ep = self.eigenvalues_plus
-        if max_eigs is not None:
-            em, ep = em[:max_eigs], ep[:max_eigs]
+    def to_dict(self):
         return {
             "total_curvature": self.total_curvature,
             "min_kappa": self.min_kappa,
@@ -502,23 +505,25 @@ class StabilityReport:
             "argmin_index": self.argmin_index,
             "argmin_point": list(self.argmin_point),
             "negative_part_sup": self.negative_part_sup,
-            "eigenvalues_minus": list(em),
+            "eigenvalues_minus": list(self.eigenvalues_minus),
             "lambda0_minus": self.lambda0_minus,
-            "eigenvalues_plus": list(ep),
+            "eigenvalues_plus": list(self.eigenvalues_plus),
             "lambda0_plus": self.lambda0_plus,
             "verdicts": dict(self.verdicts),
             "remarks": dict(self.remarks),
         }
 
 
-def stability_controls(state):
-    """Curvature sign controls and the spectra of k^2 (L -+ kappa).
+def stability_controls(state, count):
+    """Curvature sign controls and the lowest ``count`` eigenpairs of
+    k^2 (L -+ kappa).
 
     Both operator signs are assembled because they genuinely disagree and
     only the finite-difference data can adjudicate: the minus sign follows
     the Steklov quadratic form above, the plus sign is the variant whose
     spectrum matches the arbiter on the critical disk.  Eigenproblems are
-    posed in the arclength inner product.
+    posed in the arclength inner product, and only the lowest ``count``
+    eigenpairs of each are computed (``symmetric_spectrum``).
     """
     curve, k = state.curve, state.k
     kap = curve.kappa
@@ -527,10 +532,14 @@ def stability_controls(state):
     total = float(np.sum(kap * w))
     imin = int(np.argmin(kap))
 
-    m_minus = k**2 * (L - np.diag(kap))
-    m_plus = k**2 * (L + np.diag(kap))
-    vals_m, vecs_m = symmetric_spectrum(m_minus, w)
-    vals_p, vecs_p = symmetric_spectrum(m_plus, w)
+    spectra = []
+    for sign in (-1.0, 1.0):
+        # k^2 (L -+ diag(kappa)) in one copy of L
+        shifted = L.copy()
+        shifted[np.diag_indices_from(shifted)] += sign * kap
+        shifted *= k**2
+        spectra.append(symmetric_spectrum(shifted, w, count))
+    (vals_m, vecs_m), (vals_p, vecs_p) = spectra
 
     verdicts = {
         "total_curvature_nonpositive": bool(total <= 0.0),

@@ -306,6 +306,46 @@ def test_spectrum_command(tmp_path):
     assert report["lambda0_plus"] == pytest.approx(1.0, abs=1e-6)
 
 
+SMALL_RADIAL_CFG = """
+[geometry]
+kind = radial
+base_radius = 1.0
+cos3 = 0.05
+n = 32
+
+[source]
+rho = 0.1
+mass = 6.283185307179586
+"""
+
+
+@pytest.mark.parametrize("max_eigs, expected", [(4, 4), (64, 32)])
+def test_max_eigs_sets_the_reported_spectrum_length(tmp_path, max_eigs,
+                                                    expected):
+    # capped at n = 32 nodes
+    cfg = SMALL_RADIAL_CFG + f"\n[output]\nmax_eigs = {max_eigs}\n"
+    code, out = run_cli(tmp_path, cfg, "spectrum")
+    assert code == 0
+    report = load_report(out)
+    for key in ("dtn_eigenvalues", "stability_minus", "stability_plus"):
+        assert len(report[key]) == expected
+    assert report["lambda0_minus"] == report["stability_minus"][0]
+    code, out = run_cli(tmp_path, cfg, "diagnose")
+    assert code == 0
+    stab = load_report(out)["stability"]
+    assert len(stab["eigenvalues_minus"]) == len(stab["eigenvalues_plus"]) \
+        == expected
+
+
+@pytest.mark.parametrize("max_eigs", [0, -3])
+def test_nonpositive_max_eigs_exits_2(tmp_path, capsys, max_eigs):
+    cfg = SMALL_RADIAL_CFG + f"\n[output]\nmax_eigs = {max_eigs}\n"
+    code, out = run_cli(tmp_path, cfg, "spectrum")
+    assert code == 2
+    assert "max_eigs must be at least 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -374,7 +374,8 @@ def test_flow_route_ignores_metric_weight_at_critical_shape(critical_state):
 # -- stability diagnostics -------------------------------------------------
 
 def test_stability_spectra_on_critical_disk(critical_state):
-    rep = stability_controls(critical_state)
+    rep = stability_controls(critical_state, 7)
+    assert len(rep.eigenvalues_minus) == len(rep.eigenvalues_plus) == 7
     assert np.allclose(rep.eigenvalues_minus[:7], [-1, 0, 0, 1, 1, 2, 2],
                        atol=1e-8)
     assert np.allclose(rep.eigenvalues_plus[:7], [1, 2, 2, 3, 3, 4, 4],
@@ -386,7 +387,7 @@ def test_stability_spectra_on_critical_disk(critical_state):
 
 
 def test_total_curvature_control_never_passes(critical_state):
-    rep = stability_controls(critical_state)
+    rep = stability_controls(critical_state, 1)
     assert rep.total_curvature == pytest.approx(TWO_PI, abs=1e-10)
     assert not rep.verdicts["total_curvature_nonpositive"]
     assert "2 pi" in rep.remarks["total_curvature"]
@@ -396,7 +397,7 @@ def test_negative_curvature_pointwise_control(centered_source):
     # this radial profile dips to negative curvature on three arcs
     c = Curve.from_radial(1.0, cos={3: 0.3}, n=128)
     state = solve_state(c, centered_source, 1.0)
-    rep = stability_controls(state)
+    rep = stability_controls(state, 1)
     assert rep.min_kappa < 0.0
     assert rep.verdicts["negative_curvature_point"]
     assert rep.negative_part_sup == pytest.approx(-rep.min_kappa)
@@ -412,10 +413,52 @@ def test_symmetric_spectrum_orthonormal_and_deterministic():
     w = c.weights
     # symmetrize in the weighted product so the helper's assumption holds
     mat = (sym + (w[:, None] * sym.T) / w[None, :]) * 0.5
-    vals, vecs = symmetric_spectrum(mat, w)
+    vals, vecs = symmetric_spectrum(mat, w, 16)
+    assert vals.shape == (16,) and vecs.shape == (64, 16)
     gram = (vecs * w[:, None]).T @ vecs
-    assert np.allclose(gram, np.eye(64), atol=1e-10)
+    assert np.allclose(gram, np.eye(16), atol=1e-10)
     assert np.all(np.diff(vals) > -1e-12)
     # the sign convention pins each eigenvector's largest entry positive
-    vals2, vecs2 = symmetric_spectrum(mat, w)
+    pivots = np.argmax(np.abs(vecs), axis=0)
+    assert np.all(vecs[pivots, np.arange(16)] > 0)
+    vals2, vecs2 = symmetric_spectrum(mat, w, 16)
+    assert np.array_equal(vals, vals2)
     assert np.array_equal(vecs, vecs2)
+    # count is capped at the matrix order
+    assert symmetric_spectrum(mat, w, 100)[0].shape == (64,)
+
+
+def _full_spectrum(matrix, weights):
+    """Reference: every eigenpair from a full ``np.linalg.eigh``, with the
+    same weighted symmetrization and sign convention."""
+    s = np.sqrt(weights)
+    sym = (matrix * s[:, None]) / s[None, :]
+    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    vecs = vecs / s[:, None]
+    pivots = np.argmax(np.abs(vecs), axis=0)
+    return vals, vecs * np.sign(vecs[pivots, np.arange(len(vals))])
+
+
+def test_subset_spectrum_matches_full_eigh():
+    # two disks in a perturbed radial curve, as in the spectrum benchmark
+    c = Curve.from_radial(1.0, cos={2: 0.03, 3: -0.02, 5: 0.01},
+                          sin={2: -0.01, 4: 0.03, 6: -0.02}, n=256)
+    src = SourceTerm((Disk(0.25, 0.05, 0.08, np.pi),
+                      Disk(-0.2, -0.1, 0.08, np.pi)))
+    state = solve_state(c, src, 1.0)
+    L, w, kap = state.ops.dtn_matrix, c.weights, c.kappa
+    count = 16
+    dtn_vals, dtn_vecs = symmetric_spectrum(L, w, count)
+    rep = stability_controls(state, count)   # k = 1
+    cases = ((L, dtn_vals, dtn_vecs[:, 0]),
+             (L - np.diag(kap), rep.eigenvalues_minus, rep.phi0_minus),
+             (L + np.diag(kap), rep.eigenvalues_plus, rep.phi0_plus))
+    for mat, vals, phi0 in cases:
+        ref_vals, ref_vecs = _full_spectrum(mat, w)
+        scale = float(np.max(np.abs(ref_vals)))
+        assert len(vals) == count
+        assert np.max(np.abs(vals - ref_vals[:count])) <= 1e-12 * scale
+        # eigenvector error scales with the eigenvalue error over the gap
+        gap = ref_vals[1] - ref_vals[0]
+        diff = phi0 - ref_vecs[:, 0]
+        assert np.sqrt(np.sum(diff * diff * w)) <= 1e-12 * scale / gap
