@@ -11,6 +11,12 @@ whose product quadrature weights are known exactly in Fourier space.  The
 resulting dense system is LU-factorized once per curve; the
 Dirichlet-to-Neumann map reuses that factorization for all of its columns.
 
+``assemble_operators`` builds the single-layer matrix S and the adjoint
+double-layer matrix K' in one pass over the node pairs: the coordinate
+offsets and their squared lengths are formed once, as contiguous
+per-coordinate arrays, and shared by both kernels, and every later step
+works in place, so a bundle's assembly holds at most four n x n arrays.
+
 The first-kind operator degenerates when the logarithmic capacity
 (transfinite diameter) of the curve approaches one, where the constant
 density lies in its kernel.  Curves whose capacity estimate falls in
@@ -57,48 +63,65 @@ def log_capacity_estimate(curve):
     return curve.perimeter / TWO_PI
 
 
-def assemble_single_layer(curve):
-    """Dense Nystrom matrix of the single-layer operator on the curve.
+def assemble_operators(curve):
+    """Dense Nystrom matrices ``(S, Kp)`` of the single-layer operator and of
+    the adjoint double-layer operator K' on the curve, in one pass over the
+    node pairs.
 
     S[i, j] applies to nodal densities; row i approximates the boundary
-    integral at node i with spectral accuracy for smooth densities.
+    integral at node i with spectral accuracy for smooth densities.  The
+    interior normal derivative of the single-layer potential with density
+    sigma is (K' + I/2) sigma; the K' kernel -(1/2 pi) (x - y).nu(x) / |x - y|^2
+    is smooth on smooth curves with diagonal limit -kappa(x) / (4 pi), so
+    the plain trapezoid rule applies.
+
+    Both kernels read the per-coordinate offsets ``dx``, ``dy`` and their
+    squared length ``r2``, which are formed once.  K' is finished first, so
+    the offsets can be freed before S is built in place on ``r2``; at most
+    four n x n arrays are alive at once.
     """
     n = curve.n
-    pts = curve.points
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    kp = dx * curve.normal[:, None, 0]
+    tmp = dy * curve.normal[:, None, 1]
+    kp += tmp
+    r2 = np.multiply(dx, dx, out=dx)
+    r2 += np.multiply(dy, dy, out=tmp)
+    del dx, dy
+    np.fill_diagonal(r2, 1.0)
+    np.negative(kp, out=kp)
+    kp /= np.multiply(TWO_PI, r2, out=tmp)
+    del tmp
+    np.fill_diagonal(kp, -curve.kappa / (2.0 * TWO_PI))
+    kp *= curve.weights[None, :]
+
+    # S = -(1/2 pi) log(|x_i - x_j| / |2 sin((t_i - t_j)/2)|) * w_j plus the
+    # log|2 sin| part on exact Fourier weights: mode m maps to itself times
+    # 1/(2|m|), constants to zero
     th = curve.theta
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    # |2 sin((t_i - t_j)/2)| on the periodic grid
-    sin_fac = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
-    np.fill_diagonal(dist, 1.0)
+    sin_fac = th[:, None] - th[None, :]
+    sin_fac *= 0.5
+    np.sin(sin_fac, out=sin_fac)
+    sin_fac *= 2.0
+    np.abs(sin_fac, out=sin_fac)
     np.fill_diagonal(sin_fac, 1.0)
-    smooth = -np.log(dist / sin_fac) / TWO_PI
+    smooth = np.sqrt(r2, out=r2)
+    smooth /= sin_fac
+    del sin_fac
+    np.log(smooth, out=smooth)
+    np.negative(smooth, out=smooth)
+    smooth /= TWO_PI
     np.fill_diagonal(smooth, -np.log(curve.speed) / TWO_PI)
-    # exact Fourier weights for -(1/2 pi) log|2 sin((t-s)/2)|: mode m maps to
-    # itself times 1/(2|m|), constants to zero
+    smooth *= curve.weights[None, :]
     k = np.fft.fftfreq(n, d=1.0 / n)
     inv = np.zeros(n)
     inv[1:] = 0.5 / np.abs(k[1:])
     logpart = scipy.linalg.circulant(np.fft.ifft(inv).real)
-    return smooth * curve.weights[None, :] + logpart * curve.speed[None, :]
-
-
-def assemble_neumann_jump(curve):
-    """Nystrom matrix of the adjoint double-layer operator K'.
-
-    The interior normal derivative of the single-layer potential with
-    density sigma is (K' + I/2) sigma.  The kernel
-    -(1/2 pi) (x - y).nu(x) / |x - y|^2 is smooth on smooth curves with
-    diagonal limit -kappa(x) / (4 pi), so the plain trapezoid rule applies.
-    """
-    pts = curve.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    r2 = np.sum(diff * diff, axis=-1)
-    np.fill_diagonal(r2, 1.0)
-    dot = diff[..., 0] * curve.normal[:, None, 0] + diff[..., 1] * curve.normal[:, None, 1]
-    kern = -dot / (TWO_PI * r2)
-    np.fill_diagonal(kern, -curve.kappa / (2.0 * TWO_PI))
-    return kern * curve.weights[None, :]
+    logpart *= curve.speed[None, :]
+    smooth += logpart
+    return smooth, kp
 
 
 @dataclass(frozen=True)
@@ -117,11 +140,12 @@ class LayerDensity:
 class BoundaryOperators:
     """All dense boundary operators for one curve, factored once.
 
-    Construction assembles the single-layer matrix (on the internally
-    rescaled curve when the capacity guard triggers) together with its LU
-    factorization and the Neumann jump matrix.  The Dirichlet-to-Neumann
-    matrix is assembled lazily, column by column, on the shared
-    factorization.
+    Construction assembles the single-layer matrix and the Neumann jump
+    matrix K' (on the internally rescaled curve when the capacity guard
+    triggers) together with the LU factorization of the single layer.  The
+    Dirichlet-to-Neumann matrix is formed lazily, on first use, from one
+    solve of the shared factorization against the identity and one product
+    with K'.
     """
 
     def __init__(self, curve):
@@ -130,7 +154,7 @@ class BoundaryOperators:
         self.capacity_estimate = cap
         self.scale = RESCALE_FACTOR if 0.5 < cap < 2.0 else 1.0
         self._work = curve if self.scale == 1.0 else curve.scaled(self.scale)
-        self.single_layer = assemble_single_layer(self._work)
+        self.single_layer, self.neumann_jump = assemble_operators(self._work)
         anorm = np.linalg.norm(self.single_layer, 1)
         self._lu = scipy.linalg.lu_factor(self.single_layer)
         rcond = scipy.linalg.lapack.dgecon(self._lu[0], anorm, norm="1")[0]
@@ -139,7 +163,6 @@ class BoundaryOperators:
             raise SolverError(
                 f"single-layer system is numerically singular (rcond={rcond:.2e}); "
                 "the curve's logarithmic capacity is likely too close to one")
-        self.neumann_jump = assemble_neumann_jump(self._work)
         self._dtn = None
 
     @property
@@ -168,8 +191,13 @@ class BoundaryOperators:
     @property
     def dtn_matrix(self):
         if self._dtn is None:
-            inv = scipy.linalg.lu_solve(self._lu, np.eye(self.n))
-            self._dtn = self.scale * (self.neumann_jump @ inv + 0.5 * inv)
+            inv = scipy.linalg.lu_solve(self._lu, np.eye(self.n, order="F"),
+                                        overwrite_b=True)
+            dtn = self.neumann_jump @ inv
+            inv *= 0.5
+            dtn += inv
+            dtn *= self.scale
+            self._dtn = dtn
         return self._dtn
 
     def dirichlet_energy(self, values):

@@ -90,10 +90,6 @@ def trig_interpolate(values, theta):
     return out
 
 
-def _cross2(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 _INTERSECT_BLOCK = 32
 _DIAMETER_BLOCK = 64
 
@@ -101,27 +97,48 @@ _DIAMETER_BLOCK = 64
 def _segments_intersect_any(points):
     """True if any two non-adjacent edges of the closed polygon cross properly.
 
-    Edges are tested in row blocks of ``_INTERSECT_BLOCK`` against every
-    later edge (the upper triangle of the edge pair matrix), so the Python
-    loop runs n / block times.  Edge i pairs with edges j >= i + 2; edge 0
-    skips edge n - 1, its neighbour across the wrap-around.
+    Edges are tested in row blocks of ``_INTERSECT_BLOCK`` against the later
+    edges (the upper triangle of the edge pair matrix), so the Python loop
+    runs n / block times.  Edge i pairs with edges j >= i + 2; edge 0 skips
+    edge n - 1, its neighbour across the wrap-around.
+
+    Within a block only the later edges whose axis-aligned bounding box
+    meets the block's box get the cross-product test.  A proper crossing
+    lies in both edges' boxes, so the box comparisons are inclusive and no
+    crossing is pruned.  A pruned pair is separated along an axis; only
+    rounding in the cross products of nearly collinear edges could have
+    reported it as crossing.  On a smooth curve a block's box meets a few
+    neighbouring blocks, so the number of pair tests grows about linearly
+    in n, and only the box comparisons scan every later edge.
     """
     n = len(points)
-    a = points
-    b = np.roll(points, -1, axis=0)
-    edge = b - a
+    ax = np.ascontiguousarray(points[:, 0])
+    ay = np.ascontiguousarray(points[:, 1])
+    bx = np.roll(ax, -1)
+    by = np.roll(ay, -1)
+    ex = bx - ax
+    ey = by - ay
+    lox, hix = np.minimum(ax, bx), np.maximum(ax, bx)
+    loy, hiy = np.minimum(ay, by), np.maximum(ay, by)
     for i0 in range(0, n - 2, _INTERSECT_BLOCK):
         i1 = min(i0 + _INTERSECT_BLOCK, n - 2)
         j0 = i0 + 2
+        near = ((lox[j0:] <= hix[i0:i1].max()) & (hix[j0:] >= lox[i0:i1].min())
+                & (loy[j0:] <= hiy[i0:i1].max()) & (hiy[j0:] >= loy[i0:i1].min()))
+        cols = j0 + np.flatnonzero(near)
+        if cols.size == 0:
+            continue
         rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(j0, n)[None, :]
         partner = (cols >= rows + 2) & ((rows > 0) | (cols < n - 1))
-        ai, bi, e = a[i0:i1, None], b[i0:i1, None], edge[i0:i1, None]
-        c, d, f = a[None, j0:], b[None, j0:], edge[None, j0:]
-        d1 = _cross2(e, c - ai)
-        d2 = _cross2(e, d - ai)
-        d3 = _cross2(f, ai - c)
-        d4 = _cross2(f, bi - c)
+        aix, aiy = ax[i0:i1, None], ay[i0:i1, None]
+        bix, biy = bx[i0:i1, None], by[i0:i1, None]
+        eix, eiy = ex[i0:i1, None], ey[i0:i1, None]
+        cx, cy, dx, dy = ax[cols], ay[cols], bx[cols], by[cols]
+        fx, fy = ex[cols], ey[cols]
+        d1 = eix * (cy - aiy) - eiy * (cx - aix)
+        d2 = eix * (dy - aiy) - eiy * (dx - aix)
+        d3 = fx * (aiy - cy) - fy * (aix - cx)
+        d4 = fx * (biy - cy) - fy * (bix - cx)
         if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & partner):
             return True
     return False

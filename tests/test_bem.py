@@ -1,14 +1,92 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshape.bem import (AccuracyWarning, BoundaryOperators,
-                           assemble_single_layer, get_operators,
+                           assemble_operators, get_operators,
                            log_capacity_estimate)
 from quadshape.geometry import Curve
 
 TWO_PI = 2.0 * np.pi
+
+
+# -- one-pass assembly against the two separate assemblers -----------------
+
+def reference_single_layer(curve):
+    """Dense Nystrom matrix of the single-layer operator on the curve.
+
+    S[i, j] applies to nodal densities; row i approximates the boundary
+    integral at node i with spectral accuracy for smooth densities.
+    """
+    n = curve.n
+    pts = curve.points
+    th = curve.theta
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    # |2 sin((t_i - t_j)/2)| on the periodic grid
+    sin_fac = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
+    np.fill_diagonal(dist, 1.0)
+    np.fill_diagonal(sin_fac, 1.0)
+    smooth = -np.log(dist / sin_fac) / TWO_PI
+    np.fill_diagonal(smooth, -np.log(curve.speed) / TWO_PI)
+    # exact Fourier weights for -(1/2 pi) log|2 sin((t-s)/2)|: mode m maps to
+    # itself times 1/(2|m|), constants to zero
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    inv = np.zeros(n)
+    inv[1:] = 0.5 / np.abs(k[1:])
+    logpart = scipy.linalg.circulant(np.fft.ifft(inv).real)
+    return smooth * curve.weights[None, :] + logpart * curve.speed[None, :]
+
+
+def reference_neumann_jump(curve):
+    """Nystrom matrix of the adjoint double-layer operator K'.
+
+    The interior normal derivative of the single-layer potential with
+    density sigma is (K' + I/2) sigma.  The kernel
+    -(1/2 pi) (x - y).nu(x) / |x - y|^2 is smooth on smooth curves with
+    diagonal limit -kappa(x) / (4 pi), so the plain trapezoid rule applies.
+    """
+    pts = curve.points
+    diff = pts[:, None, :] - pts[None, :, :]
+    r2 = np.sum(diff * diff, axis=-1)
+    np.fill_diagonal(r2, 1.0)
+    dot = diff[..., 0] * curve.normal[:, None, 0] + diff[..., 1] * curve.normal[:, None, 1]
+    kern = -dot / (TWO_PI * r2)
+    np.fill_diagonal(kern, -curve.kappa / (2.0 * TWO_PI))
+    return kern * curve.weights[None, :]
+
+
+@pytest.mark.parametrize("curve", [
+    Curve.circle(1.0, n=64).scaled(4.0),
+    Curve.circle(3.0, n=128),
+    Curve.ellipse(1.4, 0.9, n=256),
+    Curve.from_radial(1.0, cos={3: 0.25}, sin={2: 0.1}, n=32),
+    Curve.from_radial(1.0, cos={3: 0.25}, sin={2: 0.1}, n=128),
+    Curve.from_radial(1.0, cos={3: 0.25}, sin={2: 0.1}, n=1024),
+], ids=["circle1-rescaled", "circle3", "ellipse", "radial32", "radial128",
+        "radial1024"])
+def test_one_pass_assembly_matches_separate_assemblers(curve):
+    S, Kp = assemble_operators(curve)
+    assert np.array_equal(S, reference_single_layer(curve))
+    assert np.array_equal(Kp, reference_neumann_jump(curve))
+
+
+def test_assembly_peak_memory_is_bounded():
+    # the one-pass assembler holds at most four n x n arrays besides the
+    # small per-node vectors; the two separate assemblers peak at eight
+    n = 512
+    c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
+    tracemalloc.start()
+    try:
+        assemble_operators(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * n * 8
 
 
 # -- single layer closed forms on circles ----------------------------------
@@ -17,7 +95,7 @@ TWO_PI = 2.0 * np.pi
 def test_single_layer_constant_eigenvalue(radius):
     # S 1 = -R log R on a radius-R circle
     c = Curve.circle(radius, n=128)
-    S = assemble_single_layer(c)
+    S = assemble_operators(c)[0]
     expected = -radius * np.log(radius)
     assert np.allclose(S @ np.ones(c.n), expected, atol=1e-13)
 
@@ -26,14 +104,14 @@ def test_single_layer_constant_eigenvalue(radius):
 def test_single_layer_fourier_eigenvalues(mode):
     # S cos(m theta) = (R / 2m) cos(m theta)
     c = Curve.circle(3.0, n=128)
-    S = assemble_single_layer(c)
+    S = assemble_operators(c)[0]
     v = np.cos(mode * c.theta)
     assert np.allclose(S @ v, (3.0 / (2 * mode)) * v, atol=1e-12)
 
 
 def test_single_layer_symmetric_in_arclength_product():
     c = Curve.ellipse(1.4, 0.9, n=64)
-    S = assemble_single_layer(c)
+    S = assemble_operators(c)[0]
     WS = c.weights[:, None] * S
     assert np.allclose(WS, WS.T, atol=1e-13)
 
@@ -55,7 +133,7 @@ def test_capacity_estimate_is_mean_radius_like():
 
 def test_solve_without_rescale_fails_near_unit_capacity():
     c = Curve.circle(1.0, n=64)
-    S = assemble_single_layer(c)
+    S = assemble_operators(c)[0]
     # the raw system carries a near-null constant mode
     vals = np.linalg.svdvals(S)
     assert vals[-1] / vals[0] < 1e-14

@@ -171,6 +171,58 @@ def test_intersection_check_across_the_seam(n):
         assert _segments_intersect_any(pts)
 
 
+def _radial_points(n, amp):
+    th = TWO_PI * np.arange(n) / n
+    r = 1.0 + amp * np.cos(2 * th)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("amp,crosses", [(0.3, False), (1.4, True)])
+def test_pruned_intersection_check_on_fine_grids(n, amp, crosses):
+    # many 32-edge blocks, so most later edges are pruned by their boxes;
+    # amp = 1.4 makes r negative near theta = pi/2 and the curve cross itself
+    pts = _radial_points(n, amp)
+    assert reference_segments_intersect_any(pts) == crosses
+    assert _segments_intersect_any(pts) == crosses
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("half_gap,crosses", [(5e-10, False), (-5e-10, True)])
+def test_pruned_intersection_check_on_a_pinch(n, half_gap, crosses):
+    # y = sin(t) (cos(t)^2 + half_gap): the nodes at t = pi/2 and 3 pi/2 sit
+    # at y = +-half_gap, so the upper and lower sides come within 1e-9 of
+    # each other at x = 0, or pass each other by as much
+    th = TWO_PI * np.arange(n) / n
+    pts = np.column_stack([np.cos(th), np.sin(th) * (np.cos(th) ** 2 + half_gap)])
+    assert reference_segments_intersect_any(pts) == crosses
+    assert _segments_intersect_any(pts) == crosses
+
+
+def _rectilinear(corners, pieces=16):
+    """Closed polygon through the corners, each side cut into equal pieces."""
+    corners = np.asarray(corners, dtype=float)
+    ends = np.roll(corners, -1, axis=0)
+    t = np.arange(pieces)[:, None] / pieces
+    return np.concatenate([a + t * (b - a) for a, b in zip(corners, ends)])
+
+
+@pytest.mark.parametrize("corners,crosses", [
+    # two squares that touch only at the node (16, 16): the edge boxes on
+    # either side of it touch exactly, and no pair crosses properly
+    ([(0, 0), (16, 0), (16, 16), (32, 16), (32, 32), (16, 32), (16, 16),
+      (0, 16)], False),
+    # the horizontal side at y = 8.5 crosses the vertical side x = 16
+    # between nodes; both edges have boxes of zero width
+    ([(0, 0), (16, 0), (16, 16), (32, 16), (32, 32), (8.5, 32), (8.5, 8.5),
+      (24.5, 8.5), (24.5, -8), (0, -8)], True),
+])
+def test_pruned_intersection_check_on_axis_aligned_edges(corners, crosses):
+    pts = _rectilinear(corners)
+    assert reference_segments_intersect_any(pts) == crosses
+    assert _segments_intersect_any(pts) == crosses
+
+
 def reference_diameter(points):
     """Node-by-node loop over the squared distances."""
     d = 0.0
