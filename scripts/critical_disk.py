@@ -61,12 +61,13 @@ def main():
     print("\nHessian route table (10 direction pairs):")
     print(f"{'pair':>12} {'fd':>12} {'flow':>12} {'direct':>12} "
           f"{'steklov':>12}")
-    for row in rep.pairs:
+    for row in rep["pairs"]:
         print(f"{row['pair']:>12} {row['fd']:>12.6f} {row['flow']:>12.6f} "
               f"{row['direct']:>12.6f} {row['steklov']:>12.6f}")
-    slopes = ", ".join(f"{k_}={v:.6f}" for k_, v in rep.fitted_slopes.items())
+    slopes = ", ".join(f"{k_}={v:.6f}"
+                       for k_, v in rep["fitted_slopes"].items())
     print(f"fitted slopes vs fd: {slopes}")
-    print(f"max flow asymmetry: {rep.max_flow_asymmetry:.3e}")
+    print(f"max flow asymmetry: {rep['max_flow_asymmetry']:.3e}")
 
     print("\nquadratic boundary form on Fourier modes "
           "(expect (n-1) pi at R = k = 1):")

@@ -23,7 +23,7 @@ from .geometry import (
     spectral_derivative,
 )
 from .potential import Disk, SourceTerm
-from .bem import BoundaryOperators, LayerDensity, SolverError
+from .bem import BoundaryOperators, SolverError
 from .riemannian import (
     covariant_derivative,
     riemannian_gradient,
@@ -57,7 +57,6 @@ __all__ = [
     "Disk",
     "SourceTerm",
     "BoundaryOperators",
-    "LayerDensity",
     "SolverError",
     "covariant_derivative",
     "riemannian_gradient",

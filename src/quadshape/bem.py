@@ -33,7 +33,6 @@ is a separate identity-keyed cache that the solver does not use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import warnings
 
@@ -124,19 +123,6 @@ def assemble_operators(curve):
     return smooth, kp
 
 
-@dataclass(frozen=True)
-class LayerDensity:
-    """Single-layer density tied to a solver's (possibly rescaled) grid."""
-
-    values: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 class BoundaryOperators:
     """All dense boundary operators for one curve, factored once.
 
@@ -170,17 +156,18 @@ class BoundaryOperators:
         return self.curve.n
 
     def solve_dirichlet(self, data):
-        """Density whose single-layer potential matches the boundary data."""
+        """Density whose single-layer potential matches the boundary data,
+        as a read-only array on the solver's (possibly rescaled) grid."""
         data = np.asarray(data, dtype=float)
         if data.shape != (self.n,):
             raise GeometryError("boundary data must live on the curve grid")
         sigma = scipy.linalg.lu_solve(self._lu, data)
-        return LayerDensity(sigma, self.scale)
+        sigma.setflags(write=False)
+        return sigma
 
-    def neumann_trace(self, density):
+    def neumann_trace(self, sigma):
         """Interior normal derivative of the density's potential, on the
         original curve (the chain rule restores the internal scale)."""
-        sigma = density.values
         return self.scale * (self.neumann_jump @ sigma + 0.5 * sigma)
 
     def dtn_apply(self, values):
@@ -219,13 +206,13 @@ class BoundaryOperators:
                           stacklevel=3)
         return diff, r2
 
-    def eval_interior(self, density, x):
+    def eval_interior(self, sigma, x):
         """Evaluate the density's harmonic potential at interior points."""
         _, r2 = self._interior_offsets(x)
         kern = -0.5 * np.log(r2) / TWO_PI
-        return kern @ (density.values * self._work.weights)
+        return kern @ (sigma * self._work.weights)
 
-    def eval_interior_gradient(self, density, x):
+    def eval_interior_gradient(self, sigma, x):
         """Gradient of the density's harmonic potential at interior points.
 
         The kernel gradient decays like 1/r, so the near-boundary band is
@@ -233,7 +220,7 @@ class BoundaryOperators:
         """
         diff, r2 = self._interior_offsets(x)
         kern = -diff / (TWO_PI * r2[..., None])
-        coef = density.values * self._work.weights
+        coef = sigma * self._work.weights
         return self.scale * np.einsum("mjd,j->md", kern, coef)
 
 

@@ -6,6 +6,14 @@ command reads one plain-text config (see quadshape.config), writes a
 deterministic ``report.json`` plus command-specific CSV files into the
 output directory, and prints a short summary.
 
+``main`` is the one pipeline: it loads the config and builds the curve.
+``flow`` descends from that curve; every other command is a state command,
+``cmd_X(run, state, args)``, run on the state solved once on the curve,
+after which ``curve.csv``, ``state.csv`` and, with ``--dump-operators``,
+``single_layer.csv`` and ``dtn.csv`` are written.  A command returns only
+its report body and prints its own summary line; ``main`` writes
+``report.json`` as the command name, the config echo and that body.
+
 Exit codes: 0 on success, 2 for configuration or geometry validation
 errors, 3 for numerical failures (singular systems, collapsed line search,
 curves degenerating mid-run).
@@ -70,14 +78,22 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    from .reports import write_json
+    from .shape import solve_state
     os.makedirs(args.out, exist_ok=True)
     try:
-        report = _COMMANDS[args.command](run, curve, args)
+        if args.command == "flow":
+            body = cmd_flow(run, curve, args)
+        else:
+            state = solve_state(curve, run.source, run.params.k)
+            body = _STATE_COMMANDS[args.command](run, state, args)
+            _write_common(state, args)
     except (SolverError, GeometryError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    from .reports import write_json
+    report = {"command": args.command, "config": _config_echo(run, curve),
+              **body}
     report_path = os.path.join(args.out, "report.json")
     write_json(report, report_path)
     if not args.quiet:
@@ -102,11 +118,15 @@ def _config_echo(run, curve):
     }
 
 
-def _write_common(run, curve, state, args):
+def _write_curve(curve, path):
     from .geometry import curve_to_csv
-    from .reports import write_matrix_csv, write_state_csv
-    with open(os.path.join(args.out, "curve.csv"), "w", newline="\n") as fh:
+    with open(path, "w", newline="\n") as fh:
         fh.write(curve_to_csv(curve))
+
+
+def _write_common(state, args):
+    from .reports import write_matrix_csv, write_state_csv
+    _write_curve(state.curve, os.path.join(args.out, "curve.csv"))
     write_state_csv(state, os.path.join(args.out, "state.csv"))
     if args.dump_operators:
         write_matrix_csv(state.ops.single_layer,
@@ -115,22 +135,14 @@ def _write_common(run, curve, state, args):
                          os.path.join(args.out, "dtn.csv"))
 
 
-def _solve(run, curve):
-    from .shape import solve_state
-    return solve_state(curve, run.source, run.params.k)
-
-
-def cmd_evaluate(run, curve, args):
+def cmd_evaluate(run, state, args):
     import numpy as np
 
     from .potential import clearance_margin
     from .reports import solver_dict
     from .shape import evaluate_J
-    state = _solve(run, curve)
     J = evaluate_J(state)
-    report = {
-        "command": "evaluate",
-        "config": _config_echo(run, curve),
+    body = {
         "J": J,
         "u_nu": {
             "min": float(np.min(state.u_nu)),
@@ -142,22 +154,21 @@ def cmd_evaluate(run, curve, args):
             "max": float(np.max(state.psi)),
             "max_abs": float(np.max(np.abs(state.psi))),
         },
-        "clearance_margin": clearance_margin(run.source, curve),
+        "clearance_margin": clearance_margin(run.source, state.curve),
         "solver": solver_dict(state.ops),
     }
-    _write_common(run, curve, state, args)
     if not args.quiet:
         print(f"J = {J:.12g}")
-    return report
+    return body
 
 
-def cmd_gradient(run, curve, args):
+def cmd_gradient(run, state, args):
     import numpy as np
 
     from .geometry import NormalField, metric_norm
     from .riemannian import riemannian_gradient
     from .shape import evaluate_J, fd_first_derivative, hadamard_derivative
-    state = _solve(run, curve)
+    curve = state.curve
     grad = riemannian_gradient(curve, run.params, state.psi)
     entries = []
     boundary = []
@@ -173,44 +184,33 @@ def cmd_gradient(run, curve, args):
     b_arr = np.array(boundary)
     denom = float(b_arr @ b_arr)
     fitted = float(np.array(fd) @ b_arr / denom) if denom > 0 else float("nan")
-    report = {
-        "command": "gradient",
-        "config": _config_echo(run, curve),
+    body = {
         "J": evaluate_J(state),
         "gradient_norm": metric_norm(curve, run.params, grad.values),
         "directions": entries,
         "fitted_fd_over_boundary": fitted,
     }
-    _write_common(run, curve, state, args)
     if not args.quiet:
-        print(f"metric gradient norm = {report['gradient_norm']:.6g}; "
+        print(f"metric gradient norm = {body['gradient_norm']:.6g}; "
               f"fd/boundary ratio fit = {fitted:.6g}")
-    return report
+    return body
 
 
-def cmd_hessian(run, curve, args):
+def cmd_hessian(run, state, args):
     from .shape import evaluate_J, hessian_report
-    state = _solve(run, curve)
     rep = hessian_report(state, list(run.directions), A=run.params.A,
                          t_step=run.fd.t_step)
-    report = {
-        "command": "hessian",
-        "config": _config_echo(run, curve),
-        "J": evaluate_J(state),
-        "hessian": rep.to_dict(),
-    }
-    _write_common(run, curve, state, args)
     if not args.quiet:
-        slopes = ", ".join(f"{k}={v:.4g}" for k, v in rep.fitted_slopes.items())
-        print(f"hessian routes over {len(rep.pairs)} pairs; "
+        slopes = ", ".join(f"{k}={v:.4g}"
+                           for k, v in rep["fitted_slopes"].items())
+        print(f"hessian routes over {len(rep['pairs'])} pairs; "
               f"fits vs fd: {slopes}")
-    return report
+    return {"J": evaluate_J(state), "hessian": rep}
 
 
 def cmd_flow(run, curve, args):
     from .bem import SolverError
     from .flow import convergence_report, descend, write_trace
-    from .geometry import curve_to_csv
     from .reports import curve_dict, write_curves_svg
 
     snap_dir = os.path.join(args.out, "snapshots")
@@ -218,23 +218,20 @@ def cmd_flow(run, curve, args):
     every = max(run.output.snapshot_every, 1)
     snapshots = []
 
+    def snapshot(iteration, cv):
+        _write_curve(cv, os.path.join(snap_dir, f"iter{iteration:04d}.csv"))
+        snapshots.append((iteration, cv))
+
     def callback(record, cv):
         if record.iteration % every == 0:
-            name = os.path.join(snap_dir, f"iter{record.iteration:04d}.csv")
-            with open(name, "w", newline="\n") as fh:
-                fh.write(curve_to_csv(cv))
-            snapshots.append((record.iteration, cv))
+            snapshot(record.iteration, cv)
 
     result = descend(curve, run.source, run.params, run.flow, callback)
     if not snapshots or snapshots[-1][0] != result.iterations:
-        name = os.path.join(snap_dir, f"iter{result.iterations:04d}.csv")
-        with open(name, "w", newline="\n") as fh:
-            fh.write(curve_to_csv(result.curve))
-        snapshots.append((result.iterations, result.curve))
+        snapshot(result.iterations, result.curve)
 
     write_trace(result, os.path.join(args.out, "trace.csv"))
-    with open(os.path.join(args.out, "curve.csv"), "w", newline="\n") as fh:
-        fh.write(curve_to_csv(result.curve))
+    _write_curve(result.curve, os.path.join(args.out, "curve.csv"))
     if run.output.svg:
         picks = snapshots
         if len(picks) > 6:
@@ -249,20 +246,14 @@ def cmd_flow(run, curve, args):
                           "iterations")
 
     conv = convergence_report(result)
-    report = {
-        "command": "flow",
-        "config": _config_echo(run, curve),
-        "flow": conv,
-        "final_curve": curve_dict(result.curve),
-    }
     if not args.quiet:
         print(f"{conv['reason']} after {conv['iterations']} iterations; "
               f"grad {conv['grad_norm_initial']:.3g} -> "
               f"{conv['grad_norm_final']:.3g}; J {conv['J_final']:.10g}")
-    return report
+    return {"flow": conv, "final_curve": curve_dict(result.curve)}
 
 
-def cmd_diagnose(run, curve, args):
+def cmd_diagnose(run, state, args):
     import numpy as np
 
     from .geometry import NormalField
@@ -272,7 +263,7 @@ def cmd_diagnose(run, curve, args):
                              curvature_normal_derivative_fd, torsion)
     from .reports import solver_dict
     from .shape import psi_normal_derivative, stability_controls
-    state = _solve(run, curve)
+    curve = state.curve
     stab = stability_controls(state, run.output.max_eigs)
 
     dpsi_closed = psi_normal_derivative(state, "interior")
@@ -293,13 +284,11 @@ def cmd_diagnose(run, curve, args):
     k_out = curvature_normal_derivative(curve, "outward")
     k_in = curvature_normal_derivative(curve, "inward")
 
-    report = {
-        "command": "diagnose",
-        "config": _config_echo(run, curve),
+    body = {
         "clearance_margin": clearance_margin(run.source, curve),
         "solver": {**solver_dict(state.ops),
                    "capacity_estimate": state.ops.capacity_estimate},
-        "stability": stab.to_dict(),
+        "stability": stab,
         "psi_normal_derivative": {
             "max_abs_closed": scale,
             "max_diff_sampled": float(np.max(np.abs(dpsi_closed - dpsi_sampled))),
@@ -319,46 +308,36 @@ def cmd_diagnose(run, curve, args):
             "max_diff_inward_vs_fd": float(np.max(np.abs(k_in - kfd))),
         },
     }
-    _write_common(run, curve, state, args)
     if not args.quiet:
-        v = stab.verdicts
-        print(f"lambda0(minus) = {stab.lambda0_minus:.6g}, "
-              f"lambda0(plus) = {stab.lambda0_plus:.6g}, "
-              f"min kappa = {stab.min_kappa:.6g}, "
-              f"coercive_minus = {v['coercive_minus']}")
-    return report
+        print(f"lambda0(minus) = {stab['lambda0_minus']:.6g}, "
+              f"lambda0(plus) = {stab['lambda0_plus']:.6g}, "
+              f"min kappa = {stab['min_kappa']:.6g}, "
+              f"coercive_minus = {stab['verdicts']['coercive_minus']}")
+    return body
 
 
-def cmd_spectrum(run, curve, args):
-    import numpy as np
-
+def cmd_spectrum(run, state, args):
     from .shape import stability_controls, symmetric_spectrum
-    state = _solve(run, curve)
     count = run.output.max_eigs
-    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix, curve.weights,
-                                     count)
+    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix,
+                                     state.curve.weights, count)
     stab = stability_controls(state, count)
-    report = {
-        "command": "spectrum",
-        "config": _config_echo(run, curve),
-        "dtn_eigenvalues": [float(v) for v in dtn_vals],
-        "stability_minus": [float(v) for v in stab.eigenvalues_minus],
-        "stability_plus": [float(v) for v in stab.eigenvalues_plus],
-        "lambda0_minus": stab.lambda0_minus,
-        "lambda0_plus": stab.lambda0_plus,
-    }
-    _write_common(run, curve, state, args)
     if not args.quiet:
         head = ", ".join(f"{v:.6g}" for v in dtn_vals[:6])
         print(f"leading DtN eigenvalues: {head}")
-    return report
+    return {
+        "dtn_eigenvalues": dtn_vals.tolist(),
+        "stability_minus": stab["eigenvalues_minus"],
+        "stability_plus": stab["eigenvalues_plus"],
+        "lambda0_minus": stab["lambda0_minus"],
+        "lambda0_plus": stab["lambda0_plus"],
+    }
 
 
-_COMMANDS = {
+_STATE_COMMANDS = {
     "evaluate": cmd_evaluate,
     "gradient": cmd_gradient,
     "hessian": cmd_hessian,
-    "flow": cmd_flow,
     "diagnose": cmd_diagnose,
     "spectrum": cmd_spectrum,
 }

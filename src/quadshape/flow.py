@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .bem import SolverError
-from .geometry import (Curve, GeometryError, flow_curve, metric_inner,
+from .geometry import (Curve, GeometryError, flow_curve, metric_norm,
                        metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
 from .shape import ShapeState, direct_hessian, evaluate_J, solve_state
@@ -174,8 +174,7 @@ def descend(curve, source, params, config=None, callback=None):
 
     def grad_norm(state):
         grad = riemannian_gradient(state.curve, params, state.psi)
-        return np.sqrt(metric_inner(state.curve, params, grad.values,
-                                    grad.values))
+        return metric_norm(state.curve, params, grad.values)
 
     records.append(_record(0, state, grad_norm(state), 0.0))
     if callback is not None:

@@ -59,16 +59,6 @@ def spectral_derivative(values, order=1):
     return np.ascontiguousarray(out.real)
 
 
-def spectral_lowpass(values, keep):
-    """Zero all Fourier modes above ``keep`` in equispaced periodic samples."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    _check_even(n)
-    coef = np.fft.rfft(values)
-    coef[int(keep) + 1:] = 0.0
-    return np.fft.irfft(coef, n)
-
-
 def trig_interpolate(values, theta):
     """Evaluate the trigonometric interpolant of real equispaced samples.
 
@@ -103,11 +93,13 @@ def _segments_intersect_any(points):
     edge n - 1, its neighbour across the wrap-around.
 
     Within a block only the later edges whose axis-aligned bounding box
-    meets the block's box get the cross-product test.  A proper crossing
-    lies in both edges' boxes, so the box comparisons are inclusive and no
-    crossing is pruned.  A pruned pair is separated along an axis; only
-    rounding in the cross products of nearly collinear edges could have
-    reported it as crossing.  On a smooth curve a block's box meets a few
+    meets the block's box get the cross-product test, and a pair that the
+    cross products report counts only if the two edges' own boxes meet.  A
+    proper crossing lies in both edges' boxes, so the box comparisons are
+    inclusive and no crossing is lost.  The pair boxes matter for nearly
+    collinear edges: the cross products of two separated edges on one line
+    are rounding noise and can report a crossing, but such edges are apart
+    along at least one axis.  On a smooth curve a block's box meets a few
     neighbouring blocks, so the number of pair tests grows about linearly
     in n, and only the box comparisons scan every later edge.
     """
@@ -139,7 +131,12 @@ def _segments_intersect_any(points):
         d2 = eix * (dy - aiy) - eiy * (dx - aix)
         d3 = fx * (aiy - cy) - fy * (aix - cx)
         d4 = fx * (biy - cy) - fy * (bix - cx)
-        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & partner):
+        rr, cc = np.nonzero((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & partner)
+        if rr.size == 0:
+            continue
+        ri, cj = i0 + rr, cols[cc]
+        if np.any((lox[cj] <= hix[ri]) & (hix[cj] >= lox[ri])
+                  & (loy[cj] <= hiy[ri]) & (hiy[cj] >= loy[ri])):
             return True
     return False
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import NormalField, flow_curve, metric_inner
+from .geometry import NormalField, flow_curve, metric_inner, metric_weight
 
 
 def riemannian_gradient(curve, params, psi):
@@ -45,7 +45,7 @@ def riemannian_gradient(curve, params, psi):
     curvature-weighted metric is the normal field psi / (1 + A kappa^2).
     """
     psi = np.asarray(psi, dtype=float)
-    return NormalField(psi / (1.0 + params.A * curve.kappa**2))
+    return NormalField(psi / metric_weight(curve, params))
 
 
 def connection_coefficient(curve, params):

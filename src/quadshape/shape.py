@@ -21,7 +21,10 @@ route is one dense operator per state, ``direct_hessian``:
 
 with L the Dirichlet-to-Neumann matrix, symmetrized in sum(a b w) and
 memoized on the state like J; the Newton descent in ``quadshape.flow``
-solves with it.
+solves with it.  The two aggregated reports, ``hessian_report`` and
+``stability_controls``, return plain dicts: the ``hessian`` and
+``stability`` blocks that the ``hessian`` and ``diagnose`` commands of
+``quadshape.cli`` write to report.json as they are.
 
 Conventions worth stating once: the boundary integral sum(psi * alpha * w)
 is reported as printed, while finite differences of J along normal flows
@@ -71,7 +74,7 @@ class ShapeState:
     source: SourceTerm
     k: float
     ops: BoundaryOperators
-    density: object
+    density: np.ndarray
     trace: np.ndarray
     u_nu: np.ndarray
     psi: np.ndarray
@@ -359,30 +362,6 @@ HESSIAN_ROUTES = ("fd", "flow", "direct", "direct_local",
                   "direct_local_mirror", "steklov")
 
 
-@dataclass
-class HessianReport:
-    """All second-variation routes over a direction basis, plus fits."""
-
-    labels: list
-    A: float
-    k: float
-    t_step: float
-    pairs: list
-    fitted_slopes: dict
-    max_flow_asymmetry: float
-
-    def to_dict(self):
-        return {
-            "directions": list(self.labels),
-            "A": self.A,
-            "k": self.k,
-            "t_step": self.t_step,
-            "pairs": self.pairs,
-            "fitted_slopes": self.fitted_slopes,
-            "max_flow_asymmetry": self.max_flow_asymmetry,
-        }
-
-
 def hessian_report(state, directions, A=1.0, t_step=1e-3):
     """Evaluate every Hessian route on all direction pairs.
 
@@ -390,7 +369,9 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     fields.  The flow route shares two state solves per direction across all
     pairs; finite differences on off-diagonal pairs use the polarization
     identity.  Fitted slopes regress each route against the
-    finite-difference column.
+    finite-difference column.  Returns the report's ``hessian`` block: a
+    dict with keys directions, A, k, t_step, pairs, fitted_slopes and
+    max_flow_asymmetry, in that order.
     """
     k = state.k
     n = state.curve.n
@@ -412,15 +393,6 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
         return _flow_hessian(state, flow_states[i], fields[i], fields[j],
                              params, t_step)
 
-    fd_cache = {}
-
-    def fd_diag(vals):
-        key = vals.tobytes()
-        if key not in fd_cache:
-            fd_cache[key] = fd_second_derivative(state, vals,
-                                                 t_step=t_step).value
-        return fd_cache[key]
-
     pairs = []
     asym = 0.0
     for i in range(len(fields)):
@@ -428,10 +400,11 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
             ai, aj = fields[i].values, fields[j].values
             row = {"i": i, "j": j, "pair": f"{labels[i]}*{labels[j]}"}
             if i == j:
-                row["fd"] = fd_diag(ai)
+                row["fd"] = fd_second_derivative(state, ai,
+                                                 t_step=t_step).value
             else:
-                qp = fd_diag(ai + aj)
-                qm = fd_diag(ai - aj)
+                qp = fd_second_derivative(state, ai + aj, t_step=t_step).value
+                qm = fd_second_derivative(state, ai - aj, t_step=t_step).value
                 row["fd"] = 0.25 * (qp - qm)
             row["flow"] = flow_value(i, j)
             flow_t = flow_value(j, i)
@@ -450,7 +423,9 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     for route in HESSIAN_ROUTES[1:]:   # every route but the fd reference
         col = np.array([p[route] for p in pairs])
         fitted[route] = float(np.sum(col * ref) / denom) if denom > 0 else float("nan")
-    return HessianReport(labels, A, k, t_step, pairs, fitted, asym)
+    return {"directions": labels, "A": A, "k": k, "t_step": t_step,
+            "pairs": pairs, "fitted_slopes": fitted,
+            "max_flow_asymmetry": asym}
 
 
 # -- stability diagnostics -------------------------------------------------
@@ -478,42 +453,6 @@ def symmetric_spectrum(matrix, weights, count):
     return vals, vecs
 
 
-@dataclass
-class StabilityReport:
-    """Curvature controls and spectral coercivity data for one state."""
-
-    total_curvature: float
-    min_kappa: float
-    max_kappa: float
-    argmin_index: int
-    argmin_point: tuple
-    negative_part_sup: float
-    eigenvalues_minus: np.ndarray
-    lambda0_minus: float
-    phi0_minus: np.ndarray
-    eigenvalues_plus: np.ndarray
-    lambda0_plus: float
-    phi0_plus: np.ndarray
-    verdicts: dict
-    remarks: dict
-
-    def to_dict(self):
-        return {
-            "total_curvature": self.total_curvature,
-            "min_kappa": self.min_kappa,
-            "max_kappa": self.max_kappa,
-            "argmin_index": self.argmin_index,
-            "argmin_point": list(self.argmin_point),
-            "negative_part_sup": self.negative_part_sup,
-            "eigenvalues_minus": list(self.eigenvalues_minus),
-            "lambda0_minus": self.lambda0_minus,
-            "eigenvalues_plus": list(self.eigenvalues_plus),
-            "lambda0_plus": self.lambda0_plus,
-            "verdicts": dict(self.verdicts),
-            "remarks": dict(self.remarks),
-        }
-
-
 def stability_controls(state, count):
     """Curvature sign controls and the lowest ``count`` eigenpairs of
     k^2 (L -+ kappa).
@@ -523,7 +462,8 @@ def stability_controls(state, count):
     the Steklov quadratic form above, the plus sign is the variant whose
     spectrum matches the arbiter on the critical disk.  Eigenproblems are
     posed in the arclength inner product, and only the lowest ``count``
-    eigenpairs of each are computed (``symmetric_spectrum``).
+    eigenpairs of each are computed (``symmetric_spectrum``), and their
+    eigenvalues kept.  Returns the report's ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
     kap = curve.kappa
@@ -538,8 +478,8 @@ def stability_controls(state, count):
         shifted = L.copy()
         shifted[np.diag_indices_from(shifted)] += sign * kap
         shifted *= k**2
-        spectra.append(symmetric_spectrum(shifted, w, count))
-    (vals_m, vecs_m), (vals_p, vecs_p) = spectra
+        spectra.append(symmetric_spectrum(shifted, w, count)[0])
+    vals_m, vals_p = spectra
 
     verdicts = {
         "total_curvature_nonpositive": bool(total <= 0.0),
@@ -559,19 +499,18 @@ def stability_controls(state, count):
             "curvature is nonnegative everywhere; the pointwise control "
             "does not apply"),
     }
-    return StabilityReport(
-        total_curvature=total,
-        min_kappa=float(kap[imin]),
-        max_kappa=float(np.max(kap)),
-        argmin_index=imin,
-        argmin_point=(float(curve.points[imin, 0]), float(curve.points[imin, 1])),
-        negative_part_sup=float(max(-kap[imin], 0.0)),
-        eigenvalues_minus=vals_m,
-        lambda0_minus=float(vals_m[0]),
-        phi0_minus=vecs_m[:, 0],
-        eigenvalues_plus=vals_p,
-        lambda0_plus=float(vals_p[0]),
-        phi0_plus=vecs_p[:, 0],
-        verdicts=verdicts,
-        remarks=remarks,
-    )
+    return {
+        "total_curvature": total,
+        "min_kappa": float(kap[imin]),
+        "max_kappa": float(np.max(kap)),
+        "argmin_index": imin,
+        "argmin_point": [float(curve.points[imin, 0]),
+                         float(curve.points[imin, 1])],
+        "negative_part_sup": float(max(-kap[imin], 0.0)),
+        "eigenvalues_minus": vals_m.tolist(),
+        "lambda0_minus": float(vals_m[0]),
+        "eigenvalues_plus": vals_p.tolist(),
+        "lambda0_plus": float(vals_p[0]),
+        "verdicts": verdicts,
+        "remarks": remarks,
+    }

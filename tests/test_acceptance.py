@@ -124,7 +124,7 @@ def test_criterion_5_hessian_routes_agree():
     modes = ["const", "cos1", "cos2", "sin2"]
     rep = hessian_report(state, modes, A=1.0)
     worst = 0.0
-    for row in rep.pairs:
+    for row in rep["pairs"]:
         scale = max(abs(row["fd"]), 1.0)
         worst = max(worst, abs(row["flow"] - row["direct"]) / (2 * scale))
     fields = [NormalField.from_mode(m, state.curve.n) for m in modes[:2]]
@@ -132,12 +132,12 @@ def test_criterion_5_hessian_routes_agree():
         abs(flow_hessian_form(state, a, b, A=0.5)
             - flow_hessian_form(state, a, b, A=2.0))
         for a in fields for b in fields)
-    ok = (len(rep.pairs) == 10 and worst <= 2e-3
-          and rep.max_flow_asymmetry <= 1e-4 and a_dep <= 1e-12)
+    ok = (len(rep["pairs"]) == 10 and worst <= 2e-3
+          and rep["max_flow_asymmetry"] <= 1e-4 and a_dep <= 1e-12)
     _record(5, "flow and direct Hessian routes agree at the critical disk",
             ok,
-            f"{len(rep.pairs)} pairs, max rel gap {worst:.2e} (tol 2e-03), "
-            f"asymmetry {rep.max_flow_asymmetry:.2e} (tol 1e-04), "
+            f"{len(rep['pairs'])} pairs, max rel gap {worst:.2e} (tol 2e-03), "
+            f"asymmetry {rep['max_flow_asymmetry']:.2e} (tol 1e-04), "
             f"A-dependence {a_dep:.2e} (tol 1e-12)")
 
 

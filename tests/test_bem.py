@@ -199,7 +199,7 @@ def test_solve_dirichlet_reproduces_boundary_values():
     data = np.exp(np.cos(ops.curve.theta))
     sigma = ops.solve_dirichlet(data)
     assert ops.scale == 4.0
-    assert np.allclose(ops.single_layer @ sigma.values, data, atol=1e-12)
+    assert np.allclose(ops.single_layer @ sigma, data, atol=1e-12)
 
 
 def test_interior_evaluation_matches_separable_solution():

@@ -230,10 +230,29 @@ def test_hessian_command(tmp_path):
     assert diag["cos1"]["fd"] == pytest.approx(2 * np.pi, rel=1e-4)
 
 
+@pytest.mark.parametrize("dump", [False, True])
+@pytest.mark.parametrize("command",
+                         ["evaluate", "gradient", "hessian", "diagnose",
+                          "spectrum"])
+def test_state_commands_write_the_common_artifacts(tmp_path, command, dump):
+    code, out = run_cli(tmp_path, CRITICAL_CFG, command,
+                        *(["--dump-operators"] if dump else []))
+    assert code == 0
+    report = load_report(out)
+    assert list(report)[:2] == ["command", "config"]
+    assert report["command"] == command
+    assert (out / "curve.csv").exists()
+    assert (out / "state.csv").exists()
+    for name in ("single_layer.csv", "dtn.csv"):
+        assert (out / name).exists() == dump
+
+
 def test_flow_command_artifacts(tmp_path):
     code, out = run_cli(tmp_path, FLOW_CFG, "flow")
     assert code == 0
     report = load_report(out)
+    assert list(report) == ["command", "config", "flow", "final_curve"]
+    assert not (out / "state.csv").exists()
     conv = report["flow"]
     assert conv["reason"] == "gradient"
     assert conv["grad_drop"] > 1e3

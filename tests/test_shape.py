@@ -324,13 +324,13 @@ def test_steklov_form_symmetric_and_scales_with_k(centered_source):
 def test_hessian_report_routes_and_factors(critical_state):
     rep = hessian_report(critical_state, ["const", "cos1", "cos2", "sin2"],
                          A=1.0, t_step=1e-3)
-    assert len(rep.pairs) == 10
-    assert rep.max_flow_asymmetry < 1e-10
+    assert len(rep["pairs"]) == 10
+    assert rep["max_flow_asymmetry"] < 1e-10
     # flow and direct both differentiate the raw boundary form, so they fit
     # twice the finite differences of J
-    assert rep.fitted_slopes["flow"] == pytest.approx(2.0, rel=1e-4)
-    assert rep.fitted_slopes["direct"] == pytest.approx(2.0, rel=1e-6)
-    for pair in rep.pairs:
+    assert rep["fitted_slopes"]["flow"] == pytest.approx(2.0, rel=1e-4)
+    assert rep["fitted_slopes"]["direct"] == pytest.approx(2.0, rel=1e-6)
+    for pair in rep["pairs"]:
         assert pair["flow"] == pytest.approx(pair["direct"],
                                              abs=2e-3 * max(abs(pair["fd"]), 1.0))
 
@@ -354,7 +354,7 @@ def test_hessian_report_uses_the_single_routes(ellipse_state):
     A, t_step = 2.0, 1e-3
     rep = hessian_report(ellipse_state, modes, A=A, t_step=t_step)
     fields = [NormalField.from_mode(m, 128) for m in modes]
-    for pair in rep.pairs:
+    for pair in rep["pairs"]:
         a, b = fields[pair["i"]], fields[pair["j"]]
         assert pair["flow"] == flow_hessian_form(ellipse_state, a, b, A,
                                                  t_step)
@@ -375,22 +375,22 @@ def test_flow_route_ignores_metric_weight_at_critical_shape(critical_state):
 
 def test_stability_spectra_on_critical_disk(critical_state):
     rep = stability_controls(critical_state, 7)
-    assert len(rep.eigenvalues_minus) == len(rep.eigenvalues_plus) == 7
-    assert np.allclose(rep.eigenvalues_minus[:7], [-1, 0, 0, 1, 1, 2, 2],
+    assert len(rep["eigenvalues_minus"]) == len(rep["eigenvalues_plus"]) == 7
+    assert np.allclose(rep["eigenvalues_minus"][:7], [-1, 0, 0, 1, 1, 2, 2],
                        atol=1e-8)
-    assert np.allclose(rep.eigenvalues_plus[:7], [1, 2, 2, 3, 3, 4, 4],
+    assert np.allclose(rep["eigenvalues_plus"][:7], [1, 2, 2, 3, 3, 4, 4],
                        atol=1e-8)
-    assert rep.lambda0_minus == pytest.approx(-1.0, abs=1e-8)
-    assert rep.lambda0_plus == pytest.approx(1.0, abs=1e-8)
-    assert not rep.verdicts["coercive_minus"]
-    assert rep.verdicts["coercive_plus"]
+    assert rep["lambda0_minus"] == pytest.approx(-1.0, abs=1e-8)
+    assert rep["lambda0_plus"] == pytest.approx(1.0, abs=1e-8)
+    assert not rep["verdicts"]["coercive_minus"]
+    assert rep["verdicts"]["coercive_plus"]
 
 
 def test_total_curvature_control_never_passes(critical_state):
     rep = stability_controls(critical_state, 1)
-    assert rep.total_curvature == pytest.approx(TWO_PI, abs=1e-10)
-    assert not rep.verdicts["total_curvature_nonpositive"]
-    assert "2 pi" in rep.remarks["total_curvature"]
+    assert rep["total_curvature"] == pytest.approx(TWO_PI, abs=1e-10)
+    assert not rep["verdicts"]["total_curvature_nonpositive"]
+    assert "2 pi" in rep["remarks"]["total_curvature"]
 
 
 def test_negative_curvature_pointwise_control(centered_source):
@@ -398,12 +398,12 @@ def test_negative_curvature_pointwise_control(centered_source):
     c = Curve.from_radial(1.0, cos={3: 0.3}, n=128)
     state = solve_state(c, centered_source, 1.0)
     rep = stability_controls(state, 1)
-    assert rep.min_kappa < 0.0
-    assert rep.verdicts["negative_curvature_point"]
-    assert rep.negative_part_sup == pytest.approx(-rep.min_kappa)
-    x, y = rep.argmin_point
+    assert rep["min_kappa"] < 0.0
+    assert rep["verdicts"]["negative_curvature_point"]
+    assert rep["negative_part_sup"] == pytest.approx(-rep["min_kappa"])
+    x, y = rep["argmin_point"]
     assert np.hypot(x, y) == pytest.approx(
-        np.hypot(*c.points[rep.argmin_index]), rel=1e-12)
+        np.hypot(*c.points[rep["argmin_index"]]), rel=1e-12)
 
 
 def test_symmetric_spectrum_orthonormal_and_deterministic():
@@ -450,9 +450,13 @@ def test_subset_spectrum_matches_full_eigh():
     count = 16
     dtn_vals, dtn_vecs = symmetric_spectrum(L, w, count)
     rep = stability_controls(state, count)   # k = 1
-    cases = ((L, dtn_vals, dtn_vecs[:, 0]),
-             (L - np.diag(kap), rep.eigenvalues_minus, rep.phi0_minus),
-             (L + np.diag(kap), rep.eigenvalues_plus, rep.phi0_plus))
+    cases = [(L, dtn_vals, dtn_vecs[:, 0])]
+    for mat, key in ((L - np.diag(kap), "eigenvalues_minus"),
+                     (L + np.diag(kap), "eigenvalues_plus")):
+        vals, vecs = symmetric_spectrum(mat, w, count)
+        # the report's eigenvalues are those of the same matrix, bit for bit
+        assert np.array_equal(vals, rep[key])
+        cases.append((mat, vals, vecs[:, 0]))
     for mat, vals, phi0 in cases:
         ref_vals, ref_vecs = _full_spectrum(mat, w)
         scale = float(np.max(np.abs(ref_vals)))
