@@ -5,11 +5,19 @@ overdetermined Poisson state with a first-kind single-layer boundary method,
 and exposes the shape functional, its boundary gradient in a curvature-
 weighted metric, several routes to the shape Hessian, stability diagnostics,
 and a Riemannian gradient descent flow.
+
+Reports must be byte-identical across reruns of the same config, and
+multi-threaded BLAS reductions reorder sums, so importing the package pins
+BLAS to one thread before any submodule loads numpy.  The pin only sets
+variables that are unset: a caller's own ``OPENBLAS_NUM_THREADS`` (or the
+OMP, MKL, NUMEXPR and VECLIB counterparts) wins.
 """
 
-# imported first on purpose: pins BLAS threading before numpy loads so that
-# reports stay byte-reproducible (see quadshape.cli)
-from . import cli  # noqa: F401  (import order side effect)
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .geometry import (
     Curve,
@@ -20,7 +28,6 @@ from .geometry import (
     metric_inner,
     metric_norm,
     resample_by_arclength,
-    spectral_derivative,
 )
 from .potential import Disk, SourceTerm
 from .bem import BoundaryOperators, SolverError
@@ -53,7 +60,6 @@ __all__ = [
     "metric_inner",
     "metric_norm",
     "resample_by_arclength",
-    "spectral_derivative",
     "Disk",
     "SourceTerm",
     "BoundaryOperators",

@@ -18,11 +18,8 @@ Exit codes: 0 on success, 2 for configuration or geometry validation
 errors, 3 for numerical failures (singular systems, collapsed line search,
 curves degenerating mid-run).
 
-Reports must be byte-identical across reruns of the same config, so BLAS
-threading is pinned before numpy loads (multi-threaded reductions reorder
-sums).  Set QUADSHAPE_THREADS to override the default of one thread.  This
-module is imported by the package root before any numerical module so the
-pin happens first; keep module-level imports here free of numpy.
+Reports are byte-identical across reruns of the same config because the
+package root pins BLAS to one thread before numpy loads (see quadshape).
 """
 
 from __future__ import annotations
@@ -30,16 +27,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
+import numpy as np
 
-def _pin_threads():
-    count = os.environ.get("QUADSHAPE_THREADS", "1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, count)
-
-
-_pin_threads()
+from .bem import SolverError
+from .config import ConfigError, load_config
+from .flow import convergence_report, descend, write_trace
+from .geometry import GeometryError, NormalField, curve_to_csv, metric_norm
+from .potential import clearance_margin
+from .reports import (curve_dict, metric_params_dict, solver_dict,
+                      source_dict, write_curves_svg, write_json,
+                      write_matrix_csv, write_state_csv)
+from .riemannian import (check_metric_compatibility,
+                         curvature_normal_derivative,
+                         curvature_normal_derivative_fd, riemannian_gradient,
+                         torsion)
+from .shape import (evaluate_J, fd_first_derivative, hadamard_derivative,
+                    hessian_report, psi_normal_derivative, solve_state,
+                    stability_controls, symmetric_spectrum)
 
 COMMANDS = ("evaluate", "gradient", "hessian", "flow", "diagnose", "spectrum")
 
@@ -67,10 +73,6 @@ def main(argv=None):
         print("error: no config file given", file=sys.stderr)
         return 2
 
-    from .bem import SolverError
-    from .config import ConfigError, load_config
-    from .geometry import GeometryError
-
     try:
         run = load_config(args.config_path)
         curve = run.build_curve()
@@ -78,8 +80,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    from .reports import write_json
-    from .shape import solve_state
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.command == "flow":
@@ -102,9 +102,6 @@ def main(argv=None):
 
 
 def _config_echo(run, curve):
-    from dataclasses import asdict
-
-    from .reports import curve_dict, metric_params_dict, source_dict
     geo = asdict(run.geometry)
     geo["cos"] = {str(k): v for k, v in sorted(geo["cos"].items())}
     geo["sin"] = {str(k): v for k, v in sorted(geo["sin"].items())}
@@ -119,13 +116,11 @@ def _config_echo(run, curve):
 
 
 def _write_curve(curve, path):
-    from .geometry import curve_to_csv
     with open(path, "w", newline="\n") as fh:
         fh.write(curve_to_csv(curve))
 
 
 def _write_common(state, args):
-    from .reports import write_matrix_csv, write_state_csv
     _write_curve(state.curve, os.path.join(args.out, "curve.csv"))
     write_state_csv(state, os.path.join(args.out, "state.csv"))
     if args.dump_operators:
@@ -136,11 +131,6 @@ def _write_common(state, args):
 
 
 def cmd_evaluate(run, state, args):
-    import numpy as np
-
-    from .potential import clearance_margin
-    from .reports import solver_dict
-    from .shape import evaluate_J
     J = evaluate_J(state)
     body = {
         "J": J,
@@ -163,11 +153,6 @@ def cmd_evaluate(run, state, args):
 
 
 def cmd_gradient(run, state, args):
-    import numpy as np
-
-    from .geometry import NormalField, metric_norm
-    from .riemannian import riemannian_gradient
-    from .shape import evaluate_J, fd_first_derivative, hadamard_derivative
     curve = state.curve
     grad = riemannian_gradient(curve, run.params, state.psi)
     entries = []
@@ -197,7 +182,6 @@ def cmd_gradient(run, state, args):
 
 
 def cmd_hessian(run, state, args):
-    from .shape import evaluate_J, hessian_report
     rep = hessian_report(state, list(run.directions), A=run.params.A,
                          t_step=run.fd.t_step)
     if not args.quiet:
@@ -209,13 +193,9 @@ def cmd_hessian(run, state, args):
 
 
 def cmd_flow(run, curve, args):
-    from .bem import SolverError
-    from .flow import convergence_report, descend, write_trace
-    from .reports import curve_dict, write_curves_svg
-
     snap_dir = os.path.join(args.out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    every = max(run.output.snapshot_every, 1)
+    every = run.output.snapshot_every
     snapshots = []
 
     def snapshot(iteration, cv):
@@ -254,15 +234,6 @@ def cmd_flow(run, curve, args):
 
 
 def cmd_diagnose(run, state, args):
-    import numpy as np
-
-    from .geometry import NormalField
-    from .potential import clearance_margin
-    from .riemannian import (check_metric_compatibility,
-                             curvature_normal_derivative,
-                             curvature_normal_derivative_fd, torsion)
-    from .reports import solver_dict
-    from .shape import psi_normal_derivative, stability_controls
     curve = state.curve
     stab = stability_controls(state, run.output.max_eigs)
 
@@ -317,10 +288,9 @@ def cmd_diagnose(run, state, args):
 
 
 def cmd_spectrum(run, state, args):
-    from .shape import stability_controls, symmetric_spectrum
     count = run.output.max_eigs
-    dtn_vals, _ = symmetric_spectrum(state.ops.dtn_matrix,
-                                     state.curve.weights, count)
+    dtn_vals = symmetric_spectrum(state.ops.dtn_matrix, state.curve.weights,
+                                  count)
     stab = stability_controls(state, count)
     if not args.quiet:
         head = ", ".join(f"{v:.6g}" for v in dtn_vals[:6])

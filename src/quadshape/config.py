@@ -27,6 +27,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -67,6 +68,10 @@ class GeometrySpec:
 class FDSpec:
     t_step: float = 1e-3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.t_step) and self.t_step > 0):
+            raise ValueError("t_step must be finite and positive")
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -75,6 +80,8 @@ class OutputSpec:
     max_eigs: int = 16
 
     def __post_init__(self):
+        if self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be at least 1")
         if self.max_eigs < 1:
             raise ValueError("max_eigs must be at least 1")
 

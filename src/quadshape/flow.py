@@ -31,7 +31,7 @@ from .bem import SolverError
 from .geometry import (Curve, GeometryError, flow_curve, metric_norm,
                        metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
-from .shape import ShapeState, direct_hessian, evaluate_J, solve_state
+from .shape import direct_hessian, evaluate_J, solve_state
 
 
 # Line-search and resampling constants.  Each line search starts at the
@@ -85,9 +85,7 @@ class FlowResult:
     trials by reason (keys ``REJECTION_REASONS``); like ``elapsed`` it stays
     out of the deterministic report and trace."""
 
-    initial_curve: Curve
     curve: Curve
-    state: ShapeState
     records: list
     reason: str
     iterations: int
@@ -227,9 +225,7 @@ def descend(curve, source, params, config=None, callback=None):
         reason = "gradient"
 
     return FlowResult(
-        initial_curve=curve,
         curve=state.curve,
-        state=state,
         records=records,
         reason=reason,
         iterations=records[-1].iteration,

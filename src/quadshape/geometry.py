@@ -39,26 +39,6 @@ def _check_even(n):
         raise GeometryError(f"need an even sample count >= {MIN_SAMPLES}, got {n}")
 
 
-def spectral_derivative(values, order=1):
-    """Differentiate equispaced periodic samples through the FFT.
-
-    Exact (to roundoff) for trigonometric polynomials resolved by the grid.
-    For odd derivative orders the Nyquist mode is dropped, as it carries no
-    consistent derivative on a real grid.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    _check_even(n)
-    if not np.all(np.isfinite(values)):
-        raise GeometryError("samples must be finite")
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if order % 2 == 1:
-        k = k.copy()
-        k[n // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(values, axis=0) * (1j * k) ** order, axis=0)
-    return np.ascontiguousarray(out.real)
-
-
 def trig_interpolate(values, theta):
     """Evaluate the trigonometric interpolant of real equispaced samples.
 
@@ -445,18 +425,3 @@ def curve_to_csv(curve):
     for row in zip(*cols):
         buf.write(",".join(format(v, ".17g") for v in row) + "\n")
     return buf.getvalue()
-
-
-def curve_from_csv(text):
-    """Rebuild a Curve from its CSV serialization (geometry columns are
-    recomputed from the points and checked against the stored values)."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CURVE_CSV_HEADER:
-        raise GeometryError(f"expected CSV header {CURVE_CSV_HEADER!r}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise GeometryError("curve CSV must have 7 columns")
-    curve = Curve(data[:, 1:3])
-    if not np.allclose(curve.theta, data[:, 0], atol=1e-12):
-        raise GeometryError("theta column is not the uniform grid")
-    return curve

@@ -45,7 +45,7 @@ import scipy.linalg
 
 from .bem import AccuracyWarning, BoundaryOperators
 from .geometry import (Curve, GeometryError, MetricParams, NormalField,
-                       flow_curve, metric_inner)
+                       flow_curve)
 from .potential import (SourceTerm, clearance_margin, eval_potential,
                         eval_potential_gradient, source_energy)
 from .riemannian import covariant_derivative
@@ -365,25 +365,15 @@ HESSIAN_ROUTES = ("fd", "flow", "direct", "direct_local",
 def hessian_report(state, directions, A=1.0, t_step=1e-3):
     """Evaluate every Hessian route on all direction pairs.
 
-    ``directions`` is a list of mode labels ('const', 'cos2', ...) or normal
-    fields.  The flow route shares two state solves per direction across all
-    pairs; finite differences on off-diagonal pairs use the polarization
-    identity.  Fitted slopes regress each route against the
-    finite-difference column.  Returns the report's ``hessian`` block: a
-    dict with keys directions, A, k, t_step, pairs, fitted_slopes and
-    max_flow_asymmetry, in that order.
+    ``directions`` is a list of mode labels ('const', 'cos2', ...).  The
+    flow route shares two state solves per direction across all pairs;
+    finite differences on off-diagonal pairs use the polarization identity.
+    Fitted slopes regress each route against the finite-difference column.
+    Returns the report's ``hessian`` block: a dict with keys directions, A,
+    k, t_step, pairs, fitted_slopes and max_flow_asymmetry, in that order.
     """
     k = state.k
-    n = state.curve.n
-    labels = []
-    fields = []
-    for d in directions:
-        if isinstance(d, str):
-            labels.append(d)
-            fields.append(NormalField.from_mode(d, n))
-        else:
-            labels.append(f"field{len(labels)}")
-            fields.append(_as_field(d, n))
+    fields = [NormalField.from_mode(d, state.curve.n) for d in directions]
     params = MetricParams(A=A, k=k)
 
     # two solves per direction cover the flow route for every ordered pair
@@ -398,7 +388,7 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     for i in range(len(fields)):
         for j in range(i, len(fields)):
             ai, aj = fields[i].values, fields[j].values
-            row = {"i": i, "j": j, "pair": f"{labels[i]}*{labels[j]}"}
+            row = {"i": i, "j": j, "pair": f"{directions[i]}*{directions[j]}"}
             if i == j:
                 row["fd"] = fd_second_derivative(state, ai,
                                                  t_step=t_step).value
@@ -423,7 +413,7 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     for route in HESSIAN_ROUTES[1:]:   # every route but the fd reference
         col = np.array([p[route] for p in pairs])
         fitted[route] = float(np.sum(col * ref) / denom) if denom > 0 else float("nan")
-    return {"directions": labels, "A": A, "k": k, "t_step": t_step,
+    return {"directions": list(directions), "A": A, "k": k, "t_step": t_step,
             "pairs": pairs, "fitted_slopes": fitted,
             "max_flow_asymmetry": asym}
 
@@ -432,29 +422,23 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
 
 
 def symmetric_spectrum(matrix, weights, count):
-    """Lowest ``count`` eigenpairs of an operator symmetric in the weighted
-    inner product sum(a b w): ascending eigenvalues and eigenvectors
-    orthonormal in that product, with a deterministic sign convention.
+    """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
+    the weighted inner product sum(a b w).
 
-    Only those eigenpairs are computed, by one LAPACK subset solve
-    (``dsyevr``); ``count`` is capped at the matrix order.
+    Only those eigenvalues are computed, by one LAPACK subset solve
+    (``dsyevr``) without eigenvectors; ``count`` is capped at the matrix
+    order.
     """
     s = np.sqrt(weights)
     count = min(count, len(weights))
     sym = (matrix * s[:, None]) / s[None, :]
     sym = 0.5 * (sym + sym.T)
-    vals, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, count - 1],
-                                   driver="evr")
-    vecs = vecs / s[:, None]
-    for col in range(count):
-        pivot = int(np.argmax(np.abs(vecs[:, col])))
-        if vecs[pivot, col] < 0:
-            vecs[:, col] = -vecs[:, col]
-    return vals, vecs
+    return scipy.linalg.eigh(sym, eigvals_only=True,
+                             subset_by_index=[0, count - 1], driver="evr")
 
 
 def stability_controls(state, count):
-    """Curvature sign controls and the lowest ``count`` eigenpairs of
+    """Curvature sign controls and the lowest ``count`` eigenvalues of
     k^2 (L -+ kappa).
 
     Both operator signs are assembled because they genuinely disagree and
@@ -462,8 +446,8 @@ def stability_controls(state, count):
     the Steklov quadratic form above, the plus sign is the variant whose
     spectrum matches the arbiter on the critical disk.  Eigenproblems are
     posed in the arclength inner product, and only the lowest ``count``
-    eigenpairs of each are computed (``symmetric_spectrum``), and their
-    eigenvalues kept.  Returns the report's ``stability`` block as a dict.
+    eigenvalues of each are computed (``symmetric_spectrum``).  Returns the
+    report's ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
     kap = curve.kappa
@@ -478,7 +462,7 @@ def stability_controls(state, count):
         shifted = L.copy()
         shifted[np.diag_indices_from(shifted)] += sign * kap
         shifted *= k**2
-        spectra.append(symmetric_spectrum(shifted, w, count)[0])
+        spectra.append(symmetric_spectrum(shifted, w, count))
     vals_m, vals_p = spectra
 
     verdicts = {

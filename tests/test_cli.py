@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadshape
 from quadshape.bem import BoundaryOperators
 from quadshape.cli import main
 from quadshape.flow import TRACE_HEADER
@@ -267,6 +272,13 @@ def test_flow_command_artifacts(tmp_path):
     assert svg.startswith("<svg") and "iter 0" in svg
 
 
+def test_flow_with_svg_off_writes_the_other_artifacts(tmp_path):
+    code, out = run_cli(tmp_path, FLOW_CFG + "svg = false\n", "flow")
+    assert code == 0
+    assert {p.name for p in out.iterdir()} == {
+        "report.json", "trace.csv", "curve.csv", "snapshots"}
+
+
 # The circle shrinks onto the off-centre disk's clearance limit until the
 # line search collapses; on the way a resampled curve pinches the clearance.
 CLEARANCE_COLLAPSE_CFG = """
@@ -365,6 +377,23 @@ def test_nonpositive_max_eigs_exits_2(tmp_path, capsys, max_eigs):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("gradient", "fd", "t_step", "0"),
+    ("hessian", "fd", "t_step", "-1e-3"),
+    ("diagnose", "fd", "t_step", "nan"),
+    ("gradient", "fd", "t_step", "inf"),
+    ("flow", "output", "snapshot_every", "0"),
+    ("flow", "output", "snapshot_every", "-4"),
+])
+def test_bad_step_or_snapshot_spacing_exits_2(tmp_path, capsys, command,
+                                              section, key, value):
+    cfg = SMALL_RADIAL_CFG + f"\n[{section}]\n{key} = {value}\n"
+    code, out = run_cli(tmp_path, cfg, command)
+    assert code == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -399,3 +428,41 @@ def test_source_touching_boundary_exits_3(tmp_path, capsys):
     code, _ = run_cli(tmp_path, bad, "evaluate")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+SRC = pathlib.Path(quadshape.__file__).resolve().parent.parent
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_python(*args, **env):
+    """A fresh interpreter on this checkout's sources, BLAS variables unset
+    unless given."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_once(tmp_path):
+    # the package root must not import quadshape.cli, or runpy warns that
+    # the module is already loaded and then executes it a second time
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "quadshape.cli",
+                      "evaluate", str(SCRIPTS / "critical_disk.cfg"),
+                      "--out", str(tmp_path), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("env, expected", [({}, "1"),
+                                           ({"OPENBLAS_NUM_THREADS": "2"},
+                                            "2")])
+def test_import_pins_blas_unless_set(env, expected):
+    proc = run_python("-c", "import os, quadshape; "
+                      "print(os.environ['OPENBLAS_NUM_THREADS'])", **env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

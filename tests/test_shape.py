@@ -406,37 +406,27 @@ def test_negative_curvature_pointwise_control(centered_source):
         np.hypot(*c.points[rep["argmin_index"]]), rel=1e-12)
 
 
-def test_symmetric_spectrum_orthonormal_and_deterministic():
+def test_symmetric_spectrum_ascending_and_deterministic():
     c = Curve.circle(1.0, n=64)
     rng = np.random.default_rng(3)
     sym = rng.standard_normal((64, 64))
     w = c.weights
     # symmetrize in the weighted product so the helper's assumption holds
     mat = (sym + (w[:, None] * sym.T) / w[None, :]) * 0.5
-    vals, vecs = symmetric_spectrum(mat, w, 16)
-    assert vals.shape == (16,) and vecs.shape == (64, 16)
-    gram = (vecs * w[:, None]).T @ vecs
-    assert np.allclose(gram, np.eye(16), atol=1e-10)
+    vals = symmetric_spectrum(mat, w, 16)
+    assert vals.shape == (16,)
     assert np.all(np.diff(vals) > -1e-12)
-    # the sign convention pins each eigenvector's largest entry positive
-    pivots = np.argmax(np.abs(vecs), axis=0)
-    assert np.all(vecs[pivots, np.arange(16)] > 0)
-    vals2, vecs2 = symmetric_spectrum(mat, w, 16)
-    assert np.array_equal(vals, vals2)
-    assert np.array_equal(vecs, vecs2)
+    assert np.array_equal(vals, symmetric_spectrum(mat, w, 16))
     # count is capped at the matrix order
-    assert symmetric_spectrum(mat, w, 100)[0].shape == (64,)
+    assert symmetric_spectrum(mat, w, 100).shape == (64,)
 
 
 def _full_spectrum(matrix, weights):
-    """Reference: every eigenpair from a full ``np.linalg.eigh``, with the
-    same weighted symmetrization and sign convention."""
+    """Reference: every eigenvalue from a full ``np.linalg.eigvalsh`` of
+    the same weighted symmetrization."""
     s = np.sqrt(weights)
     sym = (matrix * s[:, None]) / s[None, :]
-    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    vecs = vecs / s[:, None]
-    pivots = np.argmax(np.abs(vecs), axis=0)
-    return vals, vecs * np.sign(vecs[pivots, np.arange(len(vals))])
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
 
 def test_subset_spectrum_matches_full_eigh():
@@ -448,21 +438,16 @@ def test_subset_spectrum_matches_full_eigh():
     state = solve_state(c, src, 1.0)
     L, w, kap = state.ops.dtn_matrix, c.weights, c.kappa
     count = 16
-    dtn_vals, dtn_vecs = symmetric_spectrum(L, w, count)
     rep = stability_controls(state, count)   # k = 1
-    cases = [(L, dtn_vals, dtn_vecs[:, 0])]
+    cases = [(L, symmetric_spectrum(L, w, count))]
     for mat, key in ((L - np.diag(kap), "eigenvalues_minus"),
                      (L + np.diag(kap), "eigenvalues_plus")):
-        vals, vecs = symmetric_spectrum(mat, w, count)
+        vals = symmetric_spectrum(mat, w, count)
         # the report's eigenvalues are those of the same matrix, bit for bit
         assert np.array_equal(vals, rep[key])
-        cases.append((mat, vals, vecs[:, 0]))
-    for mat, vals, phi0 in cases:
-        ref_vals, ref_vecs = _full_spectrum(mat, w)
+        cases.append((mat, vals))
+    for mat, vals in cases:
+        ref_vals = _full_spectrum(mat, w)
         scale = float(np.max(np.abs(ref_vals)))
         assert len(vals) == count
         assert np.max(np.abs(vals - ref_vals[:count])) <= 1e-12 * scale
-        # eigenvector error scales with the eigenvalue error over the gap
-        gap = ref_vals[1] - ref_vals[0]
-        diff = phi0 - ref_vecs[:, 0]
-        assert np.sqrt(np.sum(diff * diff * w)) <= 1e-12 * scale / gap
