@@ -1,0 +1,130 @@
+"""Byte-compare the command line outputs of two source trees.
+
+Runs ``python -m quadshape.cli`` from each tree on the same configs and
+lists every output file, stdout, stderr or exit code that differs:
+
+- every command on ``scripts/*.cfg`` and on the ``*_CFG`` configs of
+  ``tests/test_cli.py`` (read as literals, not imported), with
+  ``--dump-operators`` on ``evaluate`` so the operator matrices are
+  compared too;
+- each operation of every ``perfbench/workloads.py`` workload, warm-ups
+  included, on the configs it generates for each seed.
+
+Each tree runs every command once, in ``OUTDIR/old`` and ``OUTDIR/new``;
+the configs go to ``OUTDIR/configs``.  The exit status is 1 when anything
+differs.
+
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC OUTDIR [--seeds 7 8]
+"""
+
+import argparse
+import ast
+import filecmp
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COMMANDS = ("evaluate", "gradient", "hessian", "flow", "diagnose", "spectrum")
+
+
+def _cli_test_configs():
+    """The ``NAME_CFG = "..."`` string constants of tests/test_cli.py."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id.endswith("_CFG")):
+            out[node.targets[0].id.lower()] = ast.literal_eval(node.value)
+    return out
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def jobs(config_dir, seeds):
+    """(name, argv after ``quadshape.cli``) for every run, writing the
+    configs they read into ``config_dir``."""
+    config_dir.mkdir(parents=True, exist_ok=True)
+    configs = {p.stem: p.resolve() for p in sorted(ROOT.glob("scripts/*.cfg"))}
+    for name, text in _cli_test_configs().items():
+        path = config_dir / f"{name}.cfg"
+        path.write_text(text)
+        configs[name] = path
+    out = []
+    for stem, path in configs.items():
+        for command in COMMANDS:
+            extra = ["--dump-operators"] if command == "evaluate" else []
+            out.append((f"{stem}-{command}", [command, str(path), *extra]))
+
+    workloads = _load_workloads()
+    for seed in seeds:
+        for wname, build in sorted(workloads.WORKLOADS.items()):
+            workdir = config_dir / f"{wname}-s{seed}"
+            workdir.mkdir(exist_ok=True)
+            load = build(seed, str(workdir))
+            for path, text in load.files.items():
+                pathlib.Path(path).write_text(text)
+            ops = [op for ops in load.passes for op in ops]
+            for op in [load.warmup, *ops, *load.checked_only]:
+                out.append((f"{wname}-s{seed}-{op.key}", [op.command, op.config]))
+    return out
+
+
+def run_tree(src, workdir, job_list):
+    """Run every job with ``src`` first on the import path.  Output
+    directories are relative to ``workdir`` so stdout is the same for both
+    trees."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
+    for name, argv in job_list:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadshape.cli", *argv, "--out", name],
+            cwd=workdir, env=env, capture_output=True, text=True)
+        (workdir / f"{name}.stdout").write_text(proc.stdout)
+        (workdir / f"{name}.stderr").write_text(proc.stderr)
+        (workdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def differences(old, new):
+    """Relative paths of files that differ or exist on one side only."""
+    files_old = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    files_new = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    diff = sorted(files_old ^ files_new)
+    for rel in sorted(files_old & files_new):
+        if not filecmp.cmp(old / rel, new / rel, shallow=False):
+            diff.append(rel)
+    return sorted(diff), len(files_old | files_new)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", help="src/ directory of the old tree")
+    parser.add_argument("new_src", help="src/ directory of the new tree")
+    parser.add_argument("outdir", type=pathlib.Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8],
+                        help="workload seeds (default: 7 8)")
+    args = parser.parse_args(argv)
+
+    job_list = jobs(args.outdir / "configs", args.seeds)
+    run_tree(args.old_src, args.outdir / "old", job_list)
+    run_tree(args.new_src, args.outdir / "new", job_list)
+    diff, total = differences(args.outdir / "old", args.outdir / "new")
+    for rel in diff:
+        print(f"differs: {rel}")
+    print(f"{len(job_list)} runs per tree, {total} files compared, "
+          f"{len(diff)} differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,9 +13,13 @@ Dirichlet-to-Neumann map reuses that factorization for all of its columns.
 
 ``assemble_operators`` builds the single-layer matrix S and the adjoint
 double-layer matrix K' in one pass over the node pairs: the coordinate
-offsets and their squared lengths are formed once, as contiguous
-per-coordinate arrays, and shared by both kernels, and every later step
-works in place, so a bundle's assembly holds at most four n x n arrays.
+offsets, as contiguous per-coordinate arrays, and their squared lengths
+are shared by both kernels, and every later step works in place.  The log|2 sin((t-s)/2)| split divides by a matrix that
+depends only on the grid size, ``_grid_sin_factor(n)``; it is cached per n,
+built on the first assembly at that size (never at import) and then kept
+for the life of the process: one read-only n x n array per distinct n,
+8 MB at n = 1024.  Counting that array, a bundle's assembly holds at most
+four n x n arrays.
 
 The first-kind operator degenerates when the logarithmic capacity
 (transfinite diameter) of the curve approaches one, where the constant
@@ -62,6 +66,25 @@ def log_capacity_estimate(curve):
     return curve.perimeter / TWO_PI
 
 
+@lru_cache(maxsize=None)
+def _grid_sin_factor(n):
+    """Read-only matrix |2 sin((theta_i - theta_j)/2)| with unit diagonal on
+    the grid theta_j = 2 pi j / n of every n-point ``Curve``.
+
+    It depends on n alone, so it is built the first time a curve of that
+    size is assembled and kept: one n x n array per distinct n.
+    """
+    th = TWO_PI * np.arange(n) / n
+    sin_fac = th[:, None] - th[None, :]
+    sin_fac *= 0.5
+    np.sin(sin_fac, out=sin_fac)
+    sin_fac *= 2.0
+    np.abs(sin_fac, out=sin_fac)
+    np.fill_diagonal(sin_fac, 1.0)
+    sin_fac.setflags(write=False)
+    return sin_fac
+
+
 def assemble_operators(curve):
     """Dense Nystrom matrices ``(S, Kp)`` of the single-layer operator and of
     the adjoint double-layer operator K' on the curve, in one pass over the
@@ -75,20 +98,24 @@ def assemble_operators(curve):
     the plain trapezoid rule applies.
 
     Both kernels read the per-coordinate offsets ``dx``, ``dy`` and their
-    squared length ``r2``, which are formed once.  K' is finished first, so
-    the offsets can be freed before S is built in place on ``r2``; at most
-    four n x n arrays are alive at once.
+    squared length ``r2``.  K' is finished first, in three n x n buffers,
+    and S is then built in place on ``r2``; with the cached
+    ``_grid_sin_factor(n)`` counted, at most four n x n arrays are alive at
+    once.
     """
     n = curve.n
     x, y = curve.points[:, 0], curve.points[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    kp = dx * curve.normal[:, None, 0]
-    tmp = dy * curve.normal[:, None, 1]
+    # kp = dx nx + dy ny and r2 = dx^2 + dy^2 in three buffers: dx is formed
+    # twice, once per sum (IEEE addition commutes, so the order of the two
+    # terms does not change a bit)
+    r2 = y[:, None] - y[None, :]
+    kp = r2 * curve.normal[:, None, 1]
+    r2 *= r2
+    tmp = x[:, None] - x[None, :]
+    tmp *= curve.normal[:, None, 0]
     kp += tmp
-    r2 = np.multiply(dx, dx, out=dx)
-    r2 += np.multiply(dy, dy, out=tmp)
-    del dx, dy
+    np.subtract(x[:, None], x[None, :], out=tmp)
+    r2 += np.multiply(tmp, tmp, out=tmp)
     np.fill_diagonal(r2, 1.0)
     np.negative(kp, out=kp)
     kp /= np.multiply(TWO_PI, r2, out=tmp)
@@ -99,16 +126,8 @@ def assemble_operators(curve):
     # S = -(1/2 pi) log(|x_i - x_j| / |2 sin((t_i - t_j)/2)|) * w_j plus the
     # log|2 sin| part on exact Fourier weights: mode m maps to itself times
     # 1/(2|m|), constants to zero
-    th = curve.theta
-    sin_fac = th[:, None] - th[None, :]
-    sin_fac *= 0.5
-    np.sin(sin_fac, out=sin_fac)
-    sin_fac *= 2.0
-    np.abs(sin_fac, out=sin_fac)
-    np.fill_diagonal(sin_fac, 1.0)
     smooth = np.sqrt(r2, out=r2)
-    smooth /= sin_fac
-    del sin_fac
+    smooth /= _grid_sin_factor(n)
     np.log(smooth, out=smooth)
     np.negative(smooth, out=smooth)
     smooth /= TWO_PI

@@ -210,6 +210,9 @@ def descend(curve, source, params, config=None, callback=None):
             break
 
         state = trial_state
+        # once a resample below replaces state, these names would keep the
+        # replaced state's operators alive through the next line search
+        trial_state = cand = None
         accepted += 1
         if accepted % RESAMPLE_EVERY == 0:
             try:

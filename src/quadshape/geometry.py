@@ -67,58 +67,67 @@ _DIAMETER_BLOCK = 64
 def _segments_intersect_any(points):
     """True if any two non-adjacent edges of the closed polygon cross properly.
 
-    Edges are tested in row blocks of ``_INTERSECT_BLOCK`` against the later
-    edges (the upper triangle of the edge pair matrix), so the Python loop
-    runs n / block times.  Edge i pairs with edges j >= i + 2; edge 0 skips
-    edge n - 1, its neighbour across the wrap-around.
+    Edge i pairs with edges j >= i + 2 (the upper triangle of the edge pair
+    matrix); edge 0 skips edge n - 1, its neighbour across the wrap-around.
+    A pair counts when the cross products report a crossing and the two
+    edges' axis-aligned bounding boxes meet.  A proper crossing lies in both
+    edges' boxes, so the box comparisons are inclusive and no crossing is
+    lost.  The pair boxes matter for nearly collinear edges: the cross
+    products of two separated edges on one line are rounding noise and can
+    report a crossing, but such edges are apart along at least one axis.
 
-    Within a block only the later edges whose axis-aligned bounding box
-    meets the block's box get the cross-product test, and a pair that the
-    cross products report counts only if the two edges' own boxes meet.  A
-    proper crossing lies in both edges' boxes, so the box comparisons are
-    inclusive and no crossing is lost.  The pair boxes matter for nearly
-    collinear edges: the cross products of two separated edges on one line
-    are rounding noise and can report a crossing, but such edges are apart
-    along at least one axis.  On a smooth curve a block's box meets a few
-    neighbouring blocks, so the number of pair tests grows about linearly
-    in n, and only the box comparisons scan every later edge.
+    The pairs are found without a Python loop.  The row edges are cut into
+    blocks of ``_INTERSECT_BLOCK``; one (blocks x edges) mask keeps the
+    later edges whose box meets a block's box, the rows of each kept
+    (block, edge) candidate are paired with it, and only the pairs whose own
+    boxes meet get the cross-product test.  On a smooth curve a block's box
+    meets a few neighbouring blocks, so the pair arrays grow about linearly
+    in n, and only the mask scans every later edge.
     """
     n = len(points)
+    m = n - 2                       # edges n - 2 and n - 1 have no later partner
+    if m < 1:
+        return False
     ax = np.ascontiguousarray(points[:, 0])
     ay = np.ascontiguousarray(points[:, 1])
     bx = np.roll(ax, -1)
     by = np.roll(ay, -1)
-    ex = bx - ax
-    ey = by - ay
     lox, hix = np.minimum(ax, bx), np.maximum(ax, bx)
     loy, hiy = np.minimum(ay, by), np.maximum(ay, by)
-    for i0 in range(0, n - 2, _INTERSECT_BLOCK):
-        i1 = min(i0 + _INTERSECT_BLOCK, n - 2)
-        j0 = i0 + 2
-        near = ((lox[j0:] <= hix[i0:i1].max()) & (hix[j0:] >= lox[i0:i1].min())
-                & (loy[j0:] <= hiy[i0:i1].max()) & (hiy[j0:] >= loy[i0:i1].min()))
-        cols = j0 + np.flatnonzero(near)
-        if cols.size == 0:
-            continue
-        rows = np.arange(i0, i1)[:, None]
-        partner = (cols >= rows + 2) & ((rows > 0) | (cols < n - 1))
-        aix, aiy = ax[i0:i1, None], ay[i0:i1, None]
-        bix, biy = bx[i0:i1, None], by[i0:i1, None]
-        eix, eiy = ex[i0:i1, None], ey[i0:i1, None]
-        cx, cy, dx, dy = ax[cols], ay[cols], bx[cols], by[cols]
-        fx, fy = ex[cols], ey[cols]
-        d1 = eix * (cy - aiy) - eiy * (cx - aix)
-        d2 = eix * (dy - aiy) - eiy * (dx - aix)
-        d3 = fx * (aiy - cy) - fy * (aix - cx)
-        d4 = fx * (biy - cy) - fy * (bix - cx)
-        rr, cc = np.nonzero((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & partner)
-        if rr.size == 0:
-            continue
-        ri, cj = i0 + rr, cols[cc]
-        if np.any((lox[cj] <= hix[ri]) & (hix[cj] >= lox[ri])
-                  & (loy[cj] <= hiy[ri]) & (hiy[cj] >= loy[ri])):
-            return True
-    return False
+
+    block = _INTERSECT_BLOCK
+    starts = np.arange(0, m, block)
+    near = np.arange(n) >= starts[:, None] + 2
+    near &= lox <= np.maximum.reduceat(hix[:m], starts)[:, None]
+    near &= hix >= np.minimum.reduceat(lox[:m], starts)[:, None]
+    near &= loy <= np.maximum.reduceat(hiy[:m], starts)[:, None]
+    near &= hiy >= np.minimum.reduceat(loy[:m], starts)[:, None]
+    blk, cols = np.nonzero(near)
+
+    # pair (k, r) is row edge starts[blk[k]] + r against edge cols[k]; the
+    # masks stay boolean (candidates x block) and only the pairs left at the
+    # end get indices.  Row boxes are laid out as (blocks x block) with the
+    # rows past m - 1 given empty boxes, which meet nothing.
+    pair = (cols - starts[blk])[:, None] >= np.arange(block) + 2
+    pair[(blk == 0) & (cols == n - 1), 0] = False
+    pad = len(starts) * block - m
+    for lo, hi in ((lox, hix), (loy, hiy)):
+        row_lo = np.concatenate([lo[:m], np.full(pad, np.inf)]).reshape(-1, block)
+        row_hi = np.concatenate([hi[:m], np.full(pad, -np.inf)]).reshape(-1, block)
+        pair &= lo[cols, None] <= row_hi[blk]
+        pair &= hi[cols, None] >= row_lo[blk]
+    k, r = np.nonzero(pair)
+    ri, cj = starts[blk[k]] + r, cols[k]
+
+    aix, aiy, bix, biy = ax[ri], ay[ri], bx[ri], by[ri]
+    cx, cy, dx, dy = ax[cj], ay[cj], bx[cj], by[cj]
+    eix, eiy = bix - aix, biy - aiy
+    fx, fy = dx - cx, dy - cy
+    d1 = eix * (cy - aiy) - eiy * (cx - aix)
+    d2 = eix * (dy - aiy) - eiy * (dx - aix)
+    d3 = fx * (aiy - cy) - fy * (aix - cx)
+    d4 = fx * (biy - cy) - fy * (bix - cx)
+    return bool(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)))
 
 
 class Curve:

@@ -269,19 +269,30 @@ def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
                         * state.curve.weights))
 
 
-def _flowed_states(state, a, t_step):
-    """States on the curve flowed by +t_step and -t_step along a."""
-    return [solve_state(flow_curve(state.curve, a, t, validate=False),
-                        state.source, state.k)
-            for t in (t_step, -t_step)]
+def _flowed_psi(state, a, t_step):
+    """``(psi, weights)`` of the states on the curve flowed by +t_step and
+    -t_step along a.
+
+    The flow route reads nothing else, so the solved states are not kept:
+    ``hessian_report`` holds two of these per direction through all of its
+    other solves, and each state's operator bundle is three n x n matrices.
+    """
+    out = []
+    for t in (t_step, -t_step):
+        flowed = solve_state(flow_curve(state.curve, a, t, validate=False),
+                             state.source, state.k)
+        out.append((flowed.psi, flowed.curve.weights))
+    return out
 
 
 def _flow_hessian(state, flowed, a, b, params, t_step):
-    """Flow-route Hessian form of the fields a, b given the two states of
-    ``_flowed_states(state, a, t_step)``."""
-    sp, sm = flowed
-    first = (hadamard_derivative(sp, b.values)
-             - hadamard_derivative(sm, b.values)) / (2.0 * t_step)
+    """Flow-route Hessian form of the fields a, b given
+    ``_flowed_psi(state, a, t_step)``."""
+    (psi_p, w_p), (psi_m, w_m) = flowed
+    beta = b.values
+    # hadamard_derivative on each flowed state
+    first = (float(np.sum(psi_p * beta * w_p))
+             - float(np.sum(psi_m * beta * w_m))) / (2.0 * t_step)
     nabla = covariant_derivative(state.curve, params, a, b)
     return first - hadamard_derivative(state, nabla.values)
 
@@ -298,7 +309,7 @@ def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
     af = _as_field(a, n)
     bf = _as_field(b, n)
     params = MetricParams(A=A, k=state.k)
-    return _flow_hessian(state, _flowed_states(state, af, t_step), af, bf,
+    return _flow_hessian(state, _flowed_psi(state, af, t_step), af, bf,
                          params, t_step)
 
 
@@ -377,10 +388,10 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     params = MetricParams(A=A, k=k)
 
     # two solves per direction cover the flow route for every ordered pair
-    flow_states = [_flowed_states(state, f, t_step) for f in fields]
+    flowed = [_flowed_psi(state, f, t_step) for f in fields]
 
     def flow_value(i, j):
-        return _flow_hessian(state, flow_states[i], fields[i], fields[j],
+        return _flow_hessian(state, flowed[i], fields[i], fields[j],
                              params, t_step)
 
     pairs = []
@@ -421,19 +432,47 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
 # -- stability diagnostics -------------------------------------------------
 
 
+_SYM_BLOCK = 128
+
+
 def symmetric_spectrum(matrix, weights, count):
     """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
     the weighted inner product sum(a b w).
 
     Only those eigenvalues are computed, by one LAPACK subset solve
     (``dsyevr``) without eigenvectors; ``count`` is capped at the matrix
-    order.
+    order.  The function makes one n x n buffer, a copy of ``matrix`` that
+    the solve then works in, and never writes to ``matrix``.
+    """
+    return _spectrum_in_place(np.array(matrix, dtype=float, order="C"),
+                              weights, count)
+
+
+def _spectrum_in_place(buf, weights, count):
+    """``symmetric_spectrum`` of the C-contiguous float matrix ``buf``,
+    which it overwrites.
+
+    The similarity transform diag(sqrt w) buf diag(1/sqrt w) and the
+    symmetrization 0.5 (a_ij + a_ji) are done in ``buf`` by blocks; IEEE
+    addition is commutative, so the result is bit for bit 0.5 (sym + sym.T)
+    and exactly symmetric.  Its transpose is then the same matrix in Fortran
+    order, which LAPACK takes and overwrites without another copy.
     """
     s = np.sqrt(weights)
-    count = min(count, len(weights))
-    sym = (matrix * s[:, None]) / s[None, :]
-    sym = 0.5 * (sym + sym.T)
-    return scipy.linalg.eigh(sym, eigvals_only=True,
+    n = len(weights)
+    count = min(count, n)
+    buf *= s[:, None]
+    buf /= s[None, :]
+    for i0 in range(0, n, _SYM_BLOCK):
+        rows = slice(i0, i0 + _SYM_BLOCK)
+        for j0 in range(i0, n, _SYM_BLOCK):
+            cols = slice(j0, j0 + _SYM_BLOCK)
+            upper = buf[rows, cols] + buf[cols, rows].T
+            upper *= 0.5
+            buf[rows, cols] = upper
+            buf[cols, rows] = upper.T
+    return scipy.linalg.eigh(buf.T, eigvals_only=True, overwrite_a=True,
+                             check_finite=False,
                              subset_by_index=[0, count - 1], driver="evr")
 
 
@@ -458,11 +497,13 @@ def stability_controls(state, count):
 
     spectra = []
     for sign in (-1.0, 1.0):
-        # k^2 (L -+ diag(kappa)) in one copy of L
+        # k^2 (L -+ diag(kappa)) in one copy of L, which the solve consumes;
+        # the copy is dropped before the next one is made
         shifted = L.copy()
         shifted[np.diag_indices_from(shifted)] += sign * kap
         shifted *= k**2
-        spectra.append(symmetric_spectrum(shifted, w, count))
+        spectra.append(_spectrum_in_place(shifted, w, count))
+        del shifted
     vals_m, vals_p = spectra
 
     verdicts = {

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshape.bem import (AccuracyWarning, BoundaryOperators,
-                           assemble_operators, get_operators,
-                           log_capacity_estimate)
+                           _grid_sin_factor, assemble_operators,
+                           get_operators, log_capacity_estimate)
 from quadshape.geometry import Curve
 
 TWO_PI = 2.0 * np.pi
@@ -77,9 +77,11 @@ def test_one_pass_assembly_matches_separate_assemblers(curve):
 
 def test_assembly_peak_memory_is_bounded():
     # the one-pass assembler holds at most four n x n arrays besides the
-    # small per-node vectors; the two separate assemblers peak at eight
+    # small per-node vectors; the two separate assemblers peak at eight.
+    # The cache starts cold, so building the per-n sin factor counts too.
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
+    _grid_sin_factor.cache_clear()
     tracemalloc.start()
     try:
         assemble_operators(c)
@@ -87,6 +89,20 @@ def test_assembly_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * n * n * 8
+
+
+def test_sin_factor_is_cached_per_grid_size():
+    _grid_sin_factor.cache_clear()
+    BoundaryOperators(Curve.circle(3.0, n=64))
+    BoundaryOperators(Curve.ellipse(1.5, 0.5, n=64))
+    info = _grid_sin_factor.cache_info()
+    assert info.hits >= 1 and info.currsize == 1
+    fac = _grid_sin_factor(64)
+    assert not fac.flags.writeable
+    th = Curve.circle(1.0, n=64).theta
+    ref = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
+    np.fill_diagonal(ref, 1.0)
+    assert np.array_equal(fac, ref)
 
 
 # -- single layer closed forms on circles ----------------------------------

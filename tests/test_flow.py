@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,24 @@ def test_failed_resample_keeps_the_accepted_state(centered_source,
     assert res.iterations == 6
     assert res.resamples == 0
     assert res.curve.n == 64
+
+
+def test_line_search_after_a_resample_holds_one_state(centered_source):
+    # after the resample at the fifth accepted step, the replaced state's
+    # operators (S, K' and LU) are freed before the next line search; kept,
+    # they raise the peak from about 10.6 to 13.4 n x n arrays
+    n = 128
+    curve = Curve.ellipse(1.1, 0.9, n=n)
+    params = MetricParams(A=1.0, k=1.0)
+    tracemalloc.start()
+    try:
+        res = descend(curve, centered_source, params,
+                      FlowConfig(max_iters=7, grad_tol_rel=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 7 and res.resamples == 1
+    assert peak <= 12 * n * n * 8
 
 
 def test_clearance_violating_trial_is_rejected_as_geometry():

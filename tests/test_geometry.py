@@ -104,20 +104,35 @@ def reference_segments_intersect_any(points):
     return False
 
 
+def _random_polygon(rng, n, trial):
+    """Star-shaped about the origin (simple) unless a radius goes negative;
+    every fourth one is a cloud of random vertices."""
+    if trial % 4 == 0:
+        return rng.standard_normal((n, 2))
+    th = np.sort(rng.uniform(0.0, TWO_PI, n))
+    r = 1.0 + rng.uniform(0.0, 1.2) * rng.standard_normal(n)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
 def test_blocked_intersection_check_matches_edge_loop():
     rng = np.random.default_rng(11)
     seen = set()
     for trial in range(400):
-        n = int(rng.integers(3, 140))
-        th = np.sort(rng.uniform(0.0, TWO_PI, n))
-        r = 1.0 + rng.uniform(0.0, 1.2) * rng.standard_normal(n)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        if trial % 4 == 0:
-            pts = rng.standard_normal((n, 2))
+        pts = _random_polygon(rng, int(rng.integers(3, 140)), trial)
         expected = reference_segments_intersect_any(pts)
         assert _segments_intersect_any(pts) == expected
         seen.add(expected)
     assert seen == {True, False}
+    # the fewest edges, and sizes with several blocks and a full or partial
+    # last block
+    for n in (3, 4, 200, 257, 1000, 1024):
+        seen = set()
+        for trial in range(24):
+            pts = _random_polygon(rng, n, trial)
+            expected = reference_segments_intersect_any(pts)
+            assert _segments_intersect_any(pts) == expected
+            seen.add(expected)
+        assert seen == ({False} if n == 3 else {True, False})
 
 
 @pytest.mark.parametrize("n", [5, 32, 33, 64, 100])

@@ -1,8 +1,10 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -363,6 +365,22 @@ def test_hessian_report_uses_the_single_routes(ellipse_state):
                 ellipse_state, a.values, t_step=t_step).value
 
 
+def test_hessian_report_peak_memory_is_bounded(centered_source):
+    # the flow route keeps psi of its flowed states, not their operator
+    # bundles; holding all eight bundles of four directions peaks at 33
+    n = 128
+    state = solve_state(Curve.circle(1.0, n=n), centered_source, 1.0)
+    evaluate_J(state)
+    state.ops.dtn_matrix
+    tracemalloc.start()
+    try:
+        hessian_report(state, ["const", "cos1", "cos2", "sin3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * n * 8
+
+
 def test_flow_route_ignores_metric_weight_at_critical_shape(critical_state):
     from quadshape.shape import flow_hessian_form
     v = np.cos(2 * critical_state.curve.theta)
@@ -419,6 +437,45 @@ def test_symmetric_spectrum_ascending_and_deterministic():
     assert np.array_equal(vals, symmetric_spectrum(mat, w, 16))
     # count is capped at the matrix order
     assert symmetric_spectrum(mat, w, 100).shape == (64,)
+
+
+@pytest.mark.parametrize("n", [64, 200, 1024])
+def test_symmetric_spectrum_matches_out_of_place_solve(n):
+    # the blocked in-place symmetrization and the Fortran-order solve give
+    # the eigenvalues of the former out-of-place route bit for bit, on
+    # orders below, between and at multiples of the block
+    rng = np.random.default_rng(n)
+    mat = rng.standard_normal((n, n))
+    w = rng.uniform(0.5, 2.0, n) * (TWO_PI / n)
+    mat.setflags(write=False)
+    before = mat.copy()
+    count = 12
+    vals = symmetric_spectrum(mat, w, count)
+    s = np.sqrt(w)
+    sym = (mat * s[:, None]) / s[None, :]
+    ref = scipy.linalg.eigh(0.5 * (sym + sym.T), eigvals_only=True,
+                            subset_by_index=[0, count - 1], driver="evr")
+    assert np.array_equal(vals, ref)
+    # the caller's matrix is never written (cmd_spectrum passes dtn_matrix)
+    assert np.array_equal(mat, before)
+
+
+def test_stability_controls_peak_memory_is_bounded(centered_source):
+    # each sign's shifted copy of L is the buffer its solve works in, and it
+    # is freed before the next one is made
+    n = 512
+    c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
+    state = solve_state(c, centered_source, 1.0)
+    L = state.ops.dtn_matrix
+    before = L.copy()
+    tracemalloc.start()
+    try:
+        stability_controls(state, 8)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+    assert np.array_equal(L, before)
 
 
 def _full_spectrum(matrix, weights):
