@@ -11,8 +11,10 @@ lists every output file, stdout, stderr or exit code that differs:
   included, on the configs it generates for each seed.
 
 Each tree runs every command once, in ``OUTDIR/old`` and ``OUTDIR/new``;
-the configs go to ``OUTDIR/configs``.  The exit status is 1 when anything
-differs.
+the configs go to ``OUTDIR/configs`` and every run reads them by absolute
+path.  The exit status is 2 when a run could not read its config (the
+comparison would then only compare two identical error messages), else 1
+when anything differs.
 
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC OUTDIR [--seeds 7 8]
 """
@@ -53,7 +55,9 @@ def _load_workloads():
 
 def jobs(config_dir, seeds):
     """(name, argv after ``quadshape.cli``) for every run, writing the
-    configs they read into ``config_dir``."""
+    configs they read into ``config_dir``.  Config paths are absolute, since
+    the runs happen in other directories."""
+    config_dir = config_dir.resolve()
     config_dir.mkdir(parents=True, exist_ok=True)
     configs = {p.stem: p.resolve() for p in sorted(ROOT.glob("scripts/*.cfg"))}
     for name, text in _cli_test_configs().items():
@@ -81,11 +85,12 @@ def jobs(config_dir, seeds):
 
 
 def run_tree(src, workdir, job_list):
-    """Run every job with ``src`` first on the import path.  Output
-    directories are relative to ``workdir`` so stdout is the same for both
-    trees."""
+    """Run every job with ``src`` first on the import path and return the
+    names of the jobs that could not read their config.  Output directories
+    are relative to ``workdir`` so stdout is the same for both trees."""
     workdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
+    unread = []
     for name, argv in job_list:
         proc = subprocess.run(
             [sys.executable, "-m", "quadshape.cli", *argv, "--out", name],
@@ -93,6 +98,9 @@ def run_tree(src, workdir, job_list):
         (workdir / f"{name}.stdout").write_text(proc.stdout)
         (workdir / f"{name}.stderr").write_text(proc.stderr)
         (workdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+        if "cannot read config file" in proc.stderr:
+            unread.append(name)
+    return unread
 
 
 def differences(old, new):
@@ -115,14 +123,20 @@ def main(argv=None):
                         help="workload seeds (default: 7 8)")
     args = parser.parse_args(argv)
 
-    job_list = jobs(args.outdir / "configs", args.seeds)
-    run_tree(args.old_src, args.outdir / "old", job_list)
-    run_tree(args.new_src, args.outdir / "new", job_list)
-    diff, total = differences(args.outdir / "old", args.outdir / "new")
+    outdir = args.outdir.resolve()
+    job_list = jobs(outdir / "configs", args.seeds)
+    unread = {side: run_tree(src, outdir / side, job_list)
+              for side, src in (("old", args.old_src), ("new", args.new_src))}
+    diff, total = differences(outdir / "old", outdir / "new")
     for rel in diff:
         print(f"differs: {rel}")
+    for side, names in unread.items():
+        for name in names:
+            print(f"cannot read config: {side}/{name}")
     print(f"{len(job_list)} runs per tree, {total} files compared, "
           f"{len(diff)} differ")
+    if any(unread.values()):
+        return 2
     return 1 if diff else 0
 
 

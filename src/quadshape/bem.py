@@ -8,8 +8,9 @@ discretized by a Nystrom rule that splits the log singularity Kress-style:
 the kernel is written as a smooth part (handled by the plain trapezoid rule,
 which is spectrally accurate on periodic grids) plus log|2 sin((t-s)/2)|,
 whose product quadrature weights are known exactly in Fourier space.  The
-resulting dense system is LU-factorized once per curve; the
-Dirichlet-to-Neumann map reuses that factorization for all of its columns.
+resulting dense system is LU-factorized once per curve and S itself is not
+kept, so a bundle holds the LU factors and K'; the Dirichlet-to-Neumann map
+reuses that factorization in one transposed solve for all of its columns.
 
 ``assemble_operators`` builds the single-layer matrix S and the adjoint
 double-layer matrix K' in one pass over the node pairs: the coordinate
@@ -145,12 +146,13 @@ def assemble_operators(curve):
 class BoundaryOperators:
     """All dense boundary operators for one curve, factored once.
 
-    Construction assembles the single-layer matrix and the Neumann jump
+    Construction assembles the single-layer matrix S and the Neumann jump
     matrix K' (on the internally rescaled curve when the capacity guard
-    triggers) together with the LU factorization of the single layer.  The
-    Dirichlet-to-Neumann matrix is formed lazily, on first use, from one
-    solve of the shared factorization against the identity and one product
-    with K'.
+    triggers), LU-factors S and drops it: a bundle holds two n x n arrays,
+    the LU factors and K'.  ``single_layer_matrix`` reassembles S on
+    request.  The Dirichlet-to-Neumann matrix is formed lazily, on first
+    use, from one transposed solve of the shared factorization against
+    (K' + I/2)^T, and adds a third n x n array.
     """
 
     def __init__(self, curve):
@@ -159,9 +161,12 @@ class BoundaryOperators:
         self.capacity_estimate = cap
         self.scale = RESCALE_FACTOR if 0.5 < cap < 2.0 else 1.0
         self._work = curve if self.scale == 1.0 else curve.scaled(self.scale)
-        self.single_layer, self.neumann_jump = assemble_operators(self._work)
-        anorm = np.linalg.norm(self.single_layer, 1)
-        self._lu = scipy.linalg.lu_factor(self.single_layer)
+        S, self.neumann_jump = assemble_operators(self._work)
+        anorm = np.linalg.norm(S, 1)
+        # S is not kept (--dump-operators reassembles it).  It is C-ordered,
+        # so getrf factors a Fortran copy even with overwrite_a, and S is
+        # freed when __init__ returns
+        self._lu = scipy.linalg.lu_factor(S, overwrite_a=True)
         rcond = scipy.linalg.lapack.dgecon(self._lu[0], anorm, norm="1")[0]
         self.rcond = float(rcond)
         if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
@@ -194,14 +199,25 @@ class BoundaryOperators:
         extension of the given boundary values."""
         return self.neumann_trace(self.solve_dirichlet(values))
 
+    def single_layer_matrix(self):
+        """The single-layer matrix S on the solver's (possibly rescaled)
+        grid, reassembled on each call: the bundle keeps only its LU
+        factors."""
+        return assemble_operators(self._work)[0]
+
     @property
     def dtn_matrix(self):
+        """L = scale (K' + I/2) S^-1, built on first access and kept.
+
+        L^T solves S^T X = (K' + I/2)^T, so one transposed solve of the
+        shared factorization, in place on one Fortran-order right-hand
+        side, gives L without forming S^-1.
+        """
         if self._dtn is None:
-            inv = scipy.linalg.lu_solve(self._lu, np.eye(self.n, order="F"),
-                                        overwrite_b=True)
-            dtn = self.neumann_jump @ inv
-            inv *= 0.5
-            dtn += inv
+            rhs = np.array(self.neumann_jump.T, order="F")
+            rhs[np.diag_indices(self.n)] += 0.5
+            dtn = scipy.linalg.lu_solve(self._lu, rhs, trans=1,
+                                        overwrite_b=True).T
             dtn *= self.scale
             self._dtn = dtn
         return self._dtn
@@ -249,7 +265,8 @@ def get_operators(curve):
 
     The solver does not use this cache: ``shape.solve_state`` builds a fresh
     ``BoundaryOperators`` that lives only as long as the state holding it.
-    The cache keeps up to 32 dense bundles alive, so prefer constructing
+    The cache keeps up to 32 dense bundles alive, each two n x n arrays, or
+    three once its DtN matrix is built, so prefer constructing
     ``BoundaryOperators`` directly.
     """
     return BoundaryOperators(curve)

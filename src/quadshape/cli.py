@@ -124,7 +124,7 @@ def _write_common(state, args):
     _write_curve(state.curve, os.path.join(args.out, "curve.csv"))
     write_state_csv(state, os.path.join(args.out, "state.csv"))
     if args.dump_operators:
-        write_matrix_csv(state.ops.single_layer,
+        write_matrix_csv(state.ops.single_layer_matrix(),
                          os.path.join(args.out, "single_layer.csv"))
         write_matrix_csv(state.ops.dtn_matrix,
                          os.path.join(args.out, "dtn.csv"))

@@ -275,7 +275,7 @@ def _flowed_psi(state, a, t_step):
 
     The flow route reads nothing else, so the solved states are not kept:
     ``hessian_report`` holds two of these per direction through all of its
-    other solves, and each state's operator bundle is three n x n matrices.
+    other solves, and each state's operator bundle holds two n x n matrices.
     """
     out = []
     for t in (t_step, -t_step):

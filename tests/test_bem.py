@@ -183,6 +183,42 @@ def test_dtn_matrix_matches_apply():
     assert np.allclose(ops.dtn_matrix @ v, ops.dtn_apply(v), atol=1e-11)
 
 
+@pytest.mark.parametrize("curve, scale", [
+    (Curve.ellipse(1.3, 0.7, n=128), 4.0),
+    (Curve.from_radial(3.0, cos={3: 0.5}, sin={2: 0.2}, n=128), 1.0),
+], ids=["rescaled", "unscaled"])
+def test_dtn_matrix_matches_explicit_inverse(curve, scale):
+    # the transposed solve against the LU factors reproduces
+    # L = scale (K' + I/2) S^-1 built from the explicit inverse
+    ops = BoundaryOperators(curve)
+    assert ops.scale == scale
+    S, Kp = assemble_operators(ops._work)
+    ref = scale * (Kp + 0.5 * np.eye(curve.n)) @ np.linalg.inv(S)
+    err = np.max(np.abs(ops.dtn_matrix - ref)) / np.max(np.abs(ref))
+    assert err < 1e-12
+
+
+def test_operator_bundle_memory_is_bounded():
+    # a bundle holds the LU factors and K' but not S; the DtN matrix adds
+    # one n x n array, and its transposed solve works in that array's buffer
+    n = 512
+    c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
+    _grid_sin_factor(n)
+    nn = n * n * 8
+    tracemalloc.start()
+    try:
+        ops = BoundaryOperators(c)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ops.dtn_matrix
+        held_dtn, peak_dtn = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.1 * nn
+    assert held_dtn <= 3.1 * nn
+    assert peak_dtn <= 3.3 * nn
+
+
 def test_dtn_symmetric_in_arclength_product():
     ops = get_operators(Curve.ellipse(1.3, 0.7, n=64))
     WL = ops.curve.weights[:, None] * ops.dtn_matrix
@@ -215,7 +251,7 @@ def test_solve_dirichlet_reproduces_boundary_values():
     data = np.exp(np.cos(ops.curve.theta))
     sigma = ops.solve_dirichlet(data)
     assert ops.scale == 4.0
-    assert np.allclose(ops.single_layer @ sigma, data, atol=1e-12)
+    assert np.allclose(ops.single_layer_matrix() @ sigma, data, atol=1e-12)
 
 
 def test_interior_evaluation_matches_separable_solution():

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import quadshape
-from quadshape.bem import BoundaryOperators
+from quadshape.bem import BoundaryOperators, assemble_operators
 from quadshape.cli import main
+from quadshape.config import load_config
 from quadshape.flow import TRACE_HEADER
 from quadshape.geometry import Curve
 from quadshape.reports import (curves_svg, format_float, solver_dict, to_json,
@@ -196,9 +197,14 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
 def test_dump_operators_flag(tmp_path):
     code, out = run_cli(tmp_path, CRITICAL_CFG, "evaluate", "--dump-operators")
     assert code == 0
-    rows = (out / "single_layer.csv").read_text().splitlines()
-    assert len(rows) == 128
-    assert len(rows[0].split(",")) == 128
+    # the bundle keeps only the LU factors of S, so the dump reassembles S
+    # on the bundle's working (here rescaled) curve: value for value the
+    # matrix that was factored
+    dumped = np.loadtxt(out / "single_layer.csv", delimiter=",")
+    ops = BoundaryOperators(load_config(tmp_path / "run.cfg").build_curve())
+    assert ops.scale == 4.0
+    assert dumped.shape == (128, 128)
+    assert np.array_equal(dumped, assemble_operators(ops._work)[0])
     assert (out / "dtn.csv").exists()
 
 

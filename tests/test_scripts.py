@@ -30,3 +30,19 @@ def test_dtn_convergence_runs(scripts_path, capsys):
     assert len(rows) == 7
     for row in rows[1:]:
         assert all(float(v) < 1e-10 for v in row.split()[1:])
+
+
+def test_compare_outputs_configs_resolve_from_the_run_directory(
+        scripts_path, tmp_path, monkeypatch):
+    # each tree runs its jobs in OUTDIR/old or OUTDIR/new, so config paths
+    # made from a relative OUTDIR must still point at the written configs
+    compare = importlib.import_module("compare_outputs")
+    monkeypatch.chdir(tmp_path)
+    job_list = compare.jobs(pathlib.Path("cmp") / "configs", [7])
+    rundir = tmp_path / "cmp" / "old"
+    rundir.mkdir()
+    monkeypatch.chdir(rundir)
+    configs = [argv[1] for _, argv in job_list]
+    assert configs
+    for path in configs:
+        assert pathlib.Path(path).is_file(), path
