@@ -12,9 +12,12 @@ lists every output file, stdout, stderr or exit code that differs:
 
 Each tree runs every command once, in ``OUTDIR/old`` and ``OUTDIR/new``;
 the configs go to ``OUTDIR/configs`` and every run reads them by absolute
-path.  The exit status is 2 when a run could not read its config (the
-comparison would then only compare two identical error messages), else 1
-when anything differs.
+path.  Under each ``report.json`` that differs, the largest absolute
+change of every numeric field path (``hessian.pairs[].steklov``) is listed,
+also relative to the field's largest magnitude in that report.  The exit
+status is 2 when a run could not read its config (the comparison would
+then only compare two identical error messages), else 1 when anything
+differs.
 
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC OUTDIR [--seeds 7 8]
 """
@@ -23,6 +26,8 @@ import argparse
 import ast
 import filecmp
 import importlib.util
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -114,6 +119,52 @@ def differences(old, new):
     return sorted(diff), len(files_old | files_new)
 
 
+def _number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not math.isnan(value))
+
+
+def _field_sizes(old, new, path, sizes):
+    """Record ``(largest change, largest |old|)`` of every numeric field
+    path in ``sizes``, or None for a path whose values cannot be compared
+    as numbers."""
+    if (isinstance(old, dict) and isinstance(new, dict)
+            and old.keys() == new.keys()):
+        for key in old:
+            _field_sizes(old[key], new[key], f"{path}.{key}" if path else key,
+                         sizes)
+    elif (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        for a, b in zip(old, new):
+            _field_sizes(a, b, path + "[]", sizes)
+    elif _number(old) and _number(new):
+        if sizes.get(path, ()) is not None:
+            change, size = sizes.get(path, (0.0, 0.0))
+            change = max(change, abs(new - old) if old != new else 0.0)
+            sizes[path] = (change, max(size, abs(old)))
+    elif json.dumps(old) != json.dumps(new):     # NaN dumps equal to NaN
+        sizes[path] = None
+
+
+def field_changes(old, new):
+    """``{path: (largest absolute change, that change over the largest
+    |old value| on the path)}`` for the fields that differ between two
+    parsed reports.  Entries of a list share one path, ``name[]``; a
+    non-numeric field that differs, or a dict or list whose keys or length
+    differ, maps to None."""
+    sizes = {}
+    _field_sizes(old, new, "", sizes)
+    return {path: size if size is None
+            else (size[0], size[0] / size[1] if size[1] else math.inf)
+            for path, size in sizes.items() if size is None or size[0] > 0}
+
+
+def report_changes(old_path, new_path):
+    """``field_changes`` of two report.json files."""
+    with open(old_path) as fo, open(new_path) as fn:
+        return field_changes(json.load(fo), json.load(fn))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", help="src/ directory of the old tree")
@@ -130,6 +181,14 @@ def main(argv=None):
     diff, total = differences(outdir / "old", outdir / "new")
     for rel in diff:
         print(f"differs: {rel}")
+        old, new = outdir / "old" / rel, outdir / "new" / rel
+        if rel.name == "report.json" and old.is_file() and new.is_file():
+            for path, change in report_changes(old, new).items():
+                if change is None:
+                    print(f"    {path}: changed")
+                else:
+                    print(f"    {path}: abs {change[0]:.2e}, "
+                          f"rel {change[1]:.2e}")
     for side, names in unread.items():
         for name in names:
             print(f"cannot read config: {side}/{name}")

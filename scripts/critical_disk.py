@@ -7,7 +7,9 @@ energy has the closed form
     J = -(m^2 / 4 pi) log(R / rho) - m^2 / 16 pi + k^2 pi R^2 / 2.
 
 This driver checks all of that numerically across resolutions and prints
-the Hessian route table together with the quadratic-form spectrum.
+the quadratic-form values on the Fourier modes.  The Hessian route table on
+the same disk comes from the CLI: ``quadshape hessian
+scripts/critical_disk.cfg``.
 
 Usage: python scripts/critical_disk.py [--radius R] [--rho RHO] [--k K]
 """
@@ -18,8 +20,8 @@ import numpy as np
 
 from quadshape.geometry import Curve, NormalField
 from quadshape.potential import Disk, SourceTerm
-from quadshape.shape import (evaluate_J, hadamard_derivative, hessian_report,
-                             solve_state, steklov_form)
+from quadshape.shape import (evaluate_J, hadamard_derivative, solve_state,
+                             steklov_form)
 
 
 def closed_form_J(R, rho, mass, k):
@@ -32,7 +34,6 @@ def main():
     parser.add_argument("--radius", type=float, default=1.0)
     parser.add_argument("--rho", type=float, default=0.1)
     parser.add_argument("--k", type=float, default=1.0)
-    parser.add_argument("--A", type=float, default=1.0)
     args = parser.parse_args()
 
     R, rho, k = args.radius, args.rho, args.k
@@ -56,21 +57,8 @@ def main():
               f"{grad:>14.3e}")
 
     state = solve_state(Curve.circle(R, n=256), source, k)
-    modes = ["const", "cos1", "cos2", "sin2"]
-    rep = hessian_report(state, modes, A=args.A)
-    print("\nHessian route table (10 direction pairs):")
-    print(f"{'pair':>12} {'fd':>12} {'flow':>12} {'direct':>12} "
-          f"{'steklov':>12}")
-    for row in rep["pairs"]:
-        print(f"{row['pair']:>12} {row['fd']:>12.6f} {row['flow']:>12.6f} "
-              f"{row['direct']:>12.6f} {row['steklov']:>12.6f}")
-    slopes = ", ".join(f"{k_}={v:.6f}"
-                       for k_, v in rep["fitted_slopes"].items())
-    print(f"fitted slopes vs fd: {slopes}")
-    print(f"max flow asymmetry: {rep['max_flow_asymmetry']:.3e}")
-
-    print("\nquadratic boundary form on Fourier modes "
-          "(expect (n-1) pi at R = k = 1):")
+    print("\nquadratic boundary form on Fourier modes (expect (n-1) |a|^2 "
+          "at R = k = 1;\nfinite differences of J give (n+1) |a|^2):")
     for n_mode in range(0, 6):
         field = (NormalField.constant(1.0, state.curve.n) if n_mode == 0
                  else NormalField.from_mode(f"cos{n_mode}", state.curve.n))

@@ -30,9 +30,11 @@ def main():
         ops = BoundaryOperators(circle)
 
         mode = np.cos(5 * circle.theta)
-        dtn_err = float(np.max(np.abs(ops.dtn_apply(mode) - 5 * mode)))
+        dtn_err = float(np.max(np.abs(ops.dtn_matrix @ mode - 5 * mode)))
 
-        energy = ops.dirichlet_energy(np.cos(3 * circle.theta))
+        # integral |grad u|^2 = integral u L u ds for the harmonic extension
+        m3 = np.cos(3 * circle.theta)
+        energy = float(np.sum(m3 * (ops.dtn_matrix @ m3) * circle.weights))
         energy_err = abs(energy - 3 * np.pi)
 
         J = evaluate_J(solve_state(circle, source, 1.0))

@@ -194,11 +194,6 @@ class BoundaryOperators:
         original curve (the chain rule restores the internal scale)."""
         return self.scale * (self.neumann_jump @ sigma + 0.5 * sigma)
 
-    def dtn_apply(self, values):
-        """Dirichlet-to-Neumann map: normal derivative of the harmonic
-        extension of the given boundary values."""
-        return self.neumann_trace(self.solve_dirichlet(values))
-
     def single_layer_matrix(self):
         """The single-layer matrix S on the solver's (possibly rescaled)
         grid, reassembled on each call: the bundle keeps only its LU
@@ -207,7 +202,8 @@ class BoundaryOperators:
 
     @property
     def dtn_matrix(self):
-        """L = scale (K' + I/2) S^-1, built on first access and kept.
+        """The Dirichlet-to-Neumann map L = scale (K' + I/2) S^-1 as a
+        matrix, built on first access and kept; it is the map's only route.
 
         L^T solves S^T X = (K' + I/2)^T, so one transposed solve of the
         shared factorization, in place on one Fortran-order right-hand
@@ -221,11 +217,6 @@ class BoundaryOperators:
             dtn *= self.scale
             self._dtn = dtn
         return self._dtn
-
-    def dirichlet_energy(self, values):
-        """integral |grad Lambda(values)|^2 dx = integral values * L values ds."""
-        values = np.asarray(values, dtype=float)
-        return float(np.sum(values * self.dtn_apply(values) * self.curve.weights))
 
     def _interior_offsets(self, x):
         """Offsets x - y from the boundary nodes y to the (scaled) points x

@@ -31,7 +31,7 @@ from .bem import SolverError
 from .geometry import (Curve, GeometryError, flow_curve, metric_norm,
                        metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
-from .shape import direct_hessian, evaluate_J, solve_state
+from .shape import _spectrum_in_place, direct_hessian, evaluate_J, solve_state
 
 
 # Line-search and resampling constants.  Each line search starts at the
@@ -58,6 +58,12 @@ class FlowConfig:
 
     max_iters: int = 500
     grad_tol_rel: float = 1e-4
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not (np.isfinite(self.grad_tol_rel) and self.grad_tol_rel >= 0):
+            raise ValueError("grad_tol_rel must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,17 @@ def newton_direction(state, params):
 
     The system is posed in the arclength product: W H is symmetric and
     W G diagonal positive (W = diag(w)), and mu shifts the lowest
-    eigenvalue of the pencil (W H, W G) up to k^2 / 2, so the matrix
-    W (H + mu G) is positive definite and its Cholesky factor exists.
+    eigenvalue of the pencil (W H, W G), that of G^-1 H from the shared
+    weighted spectrum solve, up to k^2 / 2, so W (H + mu G) is positive
+    definite and its Cholesky factor exists.
     """
     w = state.curve.weights
-    wg = w * metric_weight(state.curve, params)
-    wh = w[:, None] * direct_hessian(state)
-    s = 1.0 / np.sqrt(wg)
-    lam0 = scipy.linalg.eigh(s[:, None] * wh * s[None, :], eigvals_only=True,
-                             subset_by_index=[0, 0])[0]
+    g = metric_weight(state.curve, params)
+    wg = w * g
+    H = direct_hessian(state)
+    lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
     mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
+    wh = w[:, None] * H
     wh[np.diag_indices_from(wh)] += mu * wg
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
 

@@ -31,8 +31,8 @@ is reported as printed, while finite differences of J along normal flows
 consistently produce half of it; the ratio is reported, never silently
 absorbed.  Likewise the pointwise second-variation density is computed in
 both curvature orientation conventions, and the Steklov-type quadratic form
-is kept separate from the finite-difference arbiter that disagrees with it
-on the breathing mode.
+is kept separate from the finite-difference arbiter, from which its
+curvature term differs in sign.
 """
 
 from __future__ import annotations
@@ -152,16 +152,16 @@ def steklov_form(state, a, b=None):
     """Curvature-Steklov quadratic form of the second variation at a
     critical shape:  k^2 ( integral a L b ds - integral kappa a b ds ).
 
-    L is the Dirichlet-to-Neumann map.  On the critical disk this
-    diagonalizes in the Fourier basis with values k^2 pi (n - 1) per unit
-    mode; note the breathing mode n = 0 comes out negative here while the
-    finite-difference arbiter gives the same magnitude with positive sign.
-    That discrepancy is reported side by side, not resolved.
+    L is the Dirichlet-to-Neumann matrix.  On the critical disk (R = k = 1)
+    it gives -2 pi on constants and pi (m - 1) on cos m theta, where the
+    finite-difference arbiter gives 2 pi and pi (m + 1): the curvature term
+    has the opposite sign in every mode.  The discrepancy is reported side
+    by side, not resolved.
     """
     av = _values(a, state.curve.n)
     bv = av if b is None else _values(b, state.curve.n)
     w = state.curve.weights
-    dtn_term = float(np.sum(av * state.ops.dtn_apply(bv) * w))
+    dtn_term = float(np.sum(av * (state.ops.dtn_matrix @ bv) * w))
     curv_term = float(np.sum(state.curve.kappa * av * bv * w))
     return state.k**2 * (dtn_term - curv_term)
 
@@ -483,10 +483,11 @@ def stability_controls(state, count):
     Both operator signs are assembled because they genuinely disagree and
     only the finite-difference data can adjudicate: the minus sign follows
     the Steklov quadratic form above, the plus sign is the variant whose
-    spectrum matches the arbiter on the critical disk.  Eigenproblems are
-    posed in the arclength inner product, and only the lowest ``count``
-    eigenvalues of each are computed (``symmetric_spectrum``).  Returns the
-    report's ``stability`` block as a dict.
+    spectrum matches the arbiter on the critical disk, in every mode (the
+    curvature terms differ in sign).  Eigenproblems are posed in the
+    arclength inner product, and only the lowest ``count`` eigenvalues of
+    each are computed (``symmetric_spectrum``).  Returns the report's
+    ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
     kap = curve.kappa

@@ -390,6 +390,11 @@ def test_nonpositive_max_eigs_exits_2(tmp_path, capsys, max_eigs):
     ("gradient", "fd", "t_step", "inf"),
     ("flow", "output", "snapshot_every", "0"),
     ("flow", "output", "snapshot_every", "-4"),
+    ("flow", "flow", "max_iters", "0"),
+    ("flow", "flow", "max_iters", "-3"),
+    ("flow", "flow", "grad_tol_rel", "nan"),
+    ("flow", "flow", "grad_tol_rel", "-1"),
+    ("flow", "flow", "grad_tol_rel", "inf"),
 ])
 def test_bad_step_or_snapshot_spacing_exits_2(tmp_path, capsys, command,
                                               section, key, value):

@@ -170,6 +170,23 @@ def test_newton_direction_solves_the_shifted_system(centered_source):
     assert np.sum(state.psi * x * state.curve.weights) > 0.0
 
 
+def test_newton_direction_memory_is_bounded(centered_source):
+    # with H built, the shift's eigen-solve consumes one scaled copy of H,
+    # and then W (H + mu G) and cho_factor's copy of it are alive: about
+    # two n x n arrays
+    n = 256
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=n), centered_source, 1.0)
+    params = MetricParams(A=1.0, k=1.0)
+    direct_hessian(state)
+    tracemalloc.start()
+    try:
+        newton_direction(state, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * n * n * 8
+
+
 def test_trace_rows_format(small_flow):
     rows = trace_rows(small_flow)
     assert TRACE_HEADER == "iter,J,gradnorm,step,minK,maxK,circdev"

@@ -2,6 +2,7 @@
 solver convergence table runs end to end."""
 
 import importlib
+import json
 import pathlib
 
 import pytest
@@ -46,3 +47,32 @@ def test_compare_outputs_configs_resolve_from_the_run_directory(
     assert configs
     for path in configs:
         assert pathlib.Path(path).is_file(), path
+
+
+def test_compare_outputs_lists_the_largest_change_per_report_field(
+        scripts_path, tmp_path):
+    compare = importlib.import_module("compare_outputs")
+    old = {"command": "hessian", "hessian": {
+        "k": 1.0, "directions": ["const", "cos1"],
+        "pairs": [{"pair": "const*const", "steklov": -2.0, "fd": 2.0},
+                  {"pair": "const*cos1", "steklov": 0.5, "fd": 0.0}],
+        "fitted_slopes": {"steklov": float("nan")}}}
+    new = json.loads(json.dumps(old))
+    new["hessian"]["pairs"][0]["steklov"] = -2.0 + 4e-14
+    new["hessian"]["pairs"][1]["steklov"] = 0.5 - 1e-14
+    new["hessian"]["pairs"][1]["fd"] = 1e-15
+    new["hessian"]["directions"] = ["const", "cos2"]
+    paths = []
+    for name, report in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(report))
+    changes = compare.report_changes(*paths)
+    assert set(changes) == {"hessian.pairs[].steklov", "hessian.pairs[].fd",
+                            "hessian.directions[]"}
+    # relative to the largest magnitude on the path, so a rounding move of
+    # an entry that is zero at the parent stays finite
+    abs_change, rel_change = changes["hessian.pairs[].steklov"]
+    assert abs_change == pytest.approx(4e-14, rel=1e-2)
+    assert rel_change == pytest.approx(2e-14, rel=1e-2)
+    assert changes["hessian.pairs[].fd"] == (1e-15, 5e-16)
+    assert changes["hessian.directions[]"] is None

@@ -254,7 +254,8 @@ def _dtn_apply_form(state, a, b):
     w = state.curve.weights
     dpsi = psi_normal_derivative(state, "interior")
     local = np.sum((dpsi + state.curve.kappa * state.psi) * a * b * w)
-    sens = state.ops.dtn_apply(state.u_nu * a)
+    ops = state.ops
+    sens = ops.neumann_trace(ops.solve_dirichlet(state.u_nu * a))
     return float(local + 2.0 * np.sum(state.u_nu * sens * b * w))
 
 
@@ -299,14 +300,19 @@ def test_steklov_diagonal_on_critical_disk(critical_state):
             expected, abs=1e-8)
 
 
-def test_steklov_breathing_mode_disagrees_with_arbiter(critical_state):
-    # the quadratic form gives -2 pi on constants while the second
-    # difference of J gives +2 pi; both are reported, neither is adjusted
-    v = np.ones(256)
-    form = steklov_form(critical_state, v)
-    assert form == pytest.approx(-TWO_PI, abs=1e-8)
-    fd = fd_second_derivative(critical_state, v)
-    assert fd.value == pytest.approx(TWO_PI, rel=1e-6)
+@pytest.mark.parametrize("mode", sorted(CRITICAL_SECOND_DIFFERENCE))
+def test_steklov_breathing_mode_disagrees_with_arbiter(critical_state, mode):
+    # the quadratic form gives (m - 1) |a|^2 on mode m (-2 pi on constants,
+    # pi (m - 1) on cos m) while the second difference of J gives
+    # (m + 1) |a|^2: the curvature term has the opposite sign in every mode,
+    # not only in the breathing mode; both are reported, neither is adjusted
+    a = NormalField.from_mode(mode, 256).values
+    m = 0 if mode == "const" else int(mode[3:])
+    norm2 = float(np.sum(a * a * critical_state.curve.weights))
+    form = steklov_form(critical_state, a)
+    assert form == pytest.approx((m - 1) * norm2, abs=1e-8)
+    fd = fd_second_derivative(critical_state, a)
+    assert fd.value == pytest.approx((m + 1) * norm2, rel=1e-6)
 
 
 def test_steklov_form_symmetric_and_scales_with_k(centered_source):
