@@ -2,7 +2,7 @@
 
 A curve is sampled at N equispaced parameter values theta_j = 2*pi*j/N and
 every derivative is taken through the FFT, so all geometric quantities
-(tangent, outward normal, curvature, arclength weights) inherit spectral
+(outward normal, curvature, arclength weights) inherit spectral
 accuracy for smooth curves.  Orientation is counterclockwise throughout: the
 signed area is positive, the normal points outward, and the curvature of a
 counterclockwise convex curve is positive (a circle of radius R has
@@ -140,10 +140,10 @@ class Curve:
     validate : bool
         Run orientation, regularity, and simplicity checks (default True).
 
-    Attributes computed once at construction: ``theta``, ``c_theta`` (first
-    parameter derivative), ``speed`` (|c_theta|), ``tangent``, ``normal``
-    (outward unit), ``kappa`` (curvature), ``weights`` (arclength quadrature
-    weights |c_theta| * 2*pi/n).
+    Attributes computed once at construction: ``theta``, ``speed`` (|c'|,
+    the length of the first parameter derivative), ``normal`` (outward
+    unit), ``kappa`` (curvature), ``weights`` (arclength quadrature weights
+    speed * 2*pi/n), ``area`` and ``perimeter``.
     """
 
     def __init__(self, points, validate=True):
@@ -169,10 +169,8 @@ class Curve:
         zp = np.fft.ifft(zh * 1j * k1)
         zpp = np.fft.ifft(zh * (1j * k) ** 2)
 
-        self.c_theta = np.column_stack([zp.real, zp.imag])
         self.speed = np.abs(zp)
         tang = zp / self.speed if np.all(self.speed > 0) else zp
-        self.tangent = np.column_stack([tang.real, tang.imag])
         nrm = -1j * tang
         self.normal = np.column_stack([nrm.real, nrm.imag])
         self.kappa = (np.conj(zp) * zpp).imag / self.speed**3
@@ -181,8 +179,8 @@ class Curve:
         self.area = 0.5 * (TWO_PI / n) * float(np.sum((np.conj(z) * zp).imag))
         self.perimeter = float(np.sum(self.weights))
 
-        for arr in (self.points, self.c_theta, self.tangent, self.normal,
-                    self.kappa, self.weights, self.theta, self.speed):
+        for arr in (self.points, self.normal, self.kappa, self.weights,
+                    self.theta, self.speed):
             arr.setflags(write=False)
 
         if validate:

@@ -132,16 +132,44 @@ def hadamard_derivative(state, direction):
     return float(np.sum(state.psi * alpha * state.curve.weights))
 
 
-def fd_first_derivative(state, direction, t_step=None):
-    """Central finite difference of t -> J(state's curve flowed by direction)."""
+def _stencil(state, direction, t_step=None, source_velocity=None):
+    """Solve the curves flowed by +t, -t, +t/2 and -t/2 along ``direction``.
+
+    Returns ``(t, retries, [J at each], [(psi, weights) at +t and -t])``;
+    no solved state is kept, since each one's operator bundle holds two
+    n x n matrices.  t defaults to 1e-3 diam.  If a flowed curve
+    self-intersects or violates source clearance, t shrinks by 4, up to 5
+    times.  ``source_velocity`` translates the source with the flow.
+    """
+    curve, source, k = state.curve, state.source, state.k
     if t_step is None:
-        t_step = 1e-3 * state.curve.diameter
-    vals = {}
-    for t in (t_step, -t_step, 0.5 * t_step, -0.5 * t_step):
-        ct = flow_curve(state.curve, direction, t, validate=False)
-        vals[t] = evaluate_J(solve_state(ct, state.source, state.k))
-    coarse = (vals[t_step] - vals[-t_step]) / (2.0 * t_step)
-    fine = (vals[0.5 * t_step] - vals[-0.5 * t_step]) / t_step
+        t_step = 1e-3 * curve.diameter
+
+    def solved(t):
+        src = source if source_velocity is None else source.translated(
+            (t * source_velocity[0], t * source_velocity[1]))
+        flowed = solve_state(flow_curve(curve, direction, t), src, k)
+        return evaluate_J(flowed), (flowed.psi, flowed.curve.weights)
+
+    retries = 0
+    while True:
+        try:
+            out = [solved(t) for t in (t_step, -t_step,
+                                       0.5 * t_step, -0.5 * t_step)]
+            return t_step, retries, [j for j, _ in out], [out[0][1], out[1][1]]
+        except GeometryError:
+            retries += 1
+            if retries > 5:
+                raise
+            t_step *= 0.25
+
+
+def fd_first_derivative(state, direction, t_step=None):
+    """Richardson-extrapolated central difference of t -> J(state's curve
+    flowed by direction), over ``_stencil``."""
+    t, _, (jp, jm, jph, jmh), _ = _stencil(state, direction, t_step)
+    coarse = (jp - jm) / (2.0 * t)
+    fine = (jph - jmh) / t
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -269,30 +297,14 @@ def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
                         * state.curve.weights))
 
 
-def _flowed_psi(state, a, t_step):
-    """``(psi, weights)`` of the states on the curve flowed by +t_step and
-    -t_step along a.
-
-    The flow route reads nothing else, so the solved states are not kept:
-    ``hessian_report`` holds two of these per direction through all of its
-    other solves, and each state's operator bundle holds two n x n matrices.
-    """
-    out = []
-    for t in (t_step, -t_step):
-        flowed = solve_state(flow_curve(state.curve, a, t, validate=False),
-                             state.source, state.k)
-        out.append((flowed.psi, flowed.curve.weights))
-    return out
-
-
-def _flow_hessian(state, flowed, a, b, params, t_step):
-    """Flow-route Hessian form of the fields a, b given
-    ``_flowed_psi(state, a, t_step)``."""
-    (psi_p, w_p), (psi_m, w_m) = flowed
+def _flow_hessian(state, stencil, a, b, params):
+    """Flow-route Hessian form of the fields a, b from the +-t states of
+    ``stencil = _stencil(state, a, t_step)``, at its own step."""
+    t, _, _, ((psi_p, w_p), (psi_m, w_m)) = stencil
     beta = b.values
     # hadamard_derivative on each flowed state
     first = (float(np.sum(psi_p * beta * w_p))
-             - float(np.sum(psi_m * beta * w_m))) / (2.0 * t_step)
+             - float(np.sum(psi_m * beta * w_m))) / (2.0 * t)
     nabla = covariant_derivative(state.curve, params, a, b)
     return first - hadamard_derivative(state, nabla.values)
 
@@ -300,17 +312,17 @@ def _flow_hessian(state, flowed, a, b, params, t_step):
 def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
     """Hessian form as derivative of the gradient along a flow.
 
-    Central-differences t -> hadamard_derivative on the curve flowed by a
-    (the weight field b rides along node-to-node) and subtracts the gradient
-    against the covariant derivative nabla_a b, so the result is the metric
-    Hessian form evaluated through the connection.
+    Central-differences t -> hadamard_derivative on the curves of
+    ``_stencil`` flowed by a (the weight field b rides along node-to-node)
+    and subtracts the gradient against the covariant derivative nabla_a b,
+    so the result is the metric Hessian form evaluated through the
+    connection.
     """
     n = state.curve.n
     af = _as_field(a, n)
     bf = _as_field(b, n)
     params = MetricParams(A=A, k=state.k)
-    return _flow_hessian(state, _flowed_psi(state, af, t_step), af, bf,
-                         params, t_step)
+    return _flow_hessian(state, _stencil(state, af, t_step), af, bf, params)
 
 
 @dataclass(frozen=True)
@@ -325,45 +337,31 @@ class SecondDifference:
     retries: int
 
 
+def _second_difference(state, stencil):
+    """``SecondDifference`` of J from ``stencil`` and the state's own J."""
+    t, retries, (jp, jm, jph, jmh), _ = stencil
+    j0 = evaluate_J(state)
+    half = 0.5 * t
+    coarse = (jp - 2.0 * j0 + jm) / t**2
+    fine = (jph - 2.0 * j0 + jmh) / half**2
+    value = (4.0 * fine - coarse) / 3.0
+    return SecondDifference(value, coarse, fine, abs(value - fine),
+                            t, retries)
+
+
 def fd_second_derivative(state, direction, t_step=None, source_velocity=None):
     """Richardson-extrapolated second difference of J along a normal flow.
 
-    Five-point stencil: central second differences at steps t and t/2 are
-    combined to fourth order; their gap is reported as a convergence
-    indicator.  If a flowed curve self-intersects or violates source
-    clearance the step shrinks by 4, up to 5 times.
+    Five-point stencil (``_stencil``): central second differences at steps
+    t and t/2 are combined to fourth order; their gap is reported as a
+    convergence indicator.  If a flowed curve self-intersects or violates
+    source clearance the step shrinks by 4, up to 5 times.
     ``source_velocity`` translates the source with the flow, which makes J
     exactly invariant along rigid translations (direction <e, nu> with
     velocity e).  The centre value is the state's own (memoized) J.
     """
-    curve, source, k = state.curve, state.source, state.k
-    if t_step is None:
-        t_step = 1e-3 * curve.diameter
-    j0 = evaluate_J(state)
-
-    def j_at(t):
-        ct = flow_curve(curve, direction, t)
-        src = source if source_velocity is None else source.translated(
-            (t * source_velocity[0], t * source_velocity[1]))
-        return evaluate_J(solve_state(ct, src, k))
-
-    retries = 0
-    while True:
-        try:
-            half = 0.5 * t_step
-            jp, jm = j_at(t_step), j_at(-t_step)
-            jph, jmh = j_at(half), j_at(-half)
-            break
-        except GeometryError:
-            retries += 1
-            if retries > 5:
-                raise
-            t_step *= 0.25
-    coarse = (jp - 2.0 * j0 + jm) / t_step**2
-    fine = (jph - 2.0 * j0 + jmh) / half**2
-    value = (4.0 * fine - coarse) / 3.0
-    return SecondDifference(value, coarse, fine, abs(value - fine),
-                            t_step, retries)
+    return _second_difference(
+        state, _stencil(state, direction, t_step, source_velocity))
 
 
 # -- aggregated reports ----------------------------------------------------
@@ -376,9 +374,10 @@ HESSIAN_ROUTES = ("fd", "flow", "direct", "direct_local",
 def hessian_report(state, directions, A=1.0, t_step=1e-3):
     """Evaluate every Hessian route on all direction pairs.
 
-    ``directions`` is a list of mode labels ('const', 'cos2', ...).  The
-    flow route shares two state solves per direction across all pairs;
-    finite differences on off-diagonal pairs use the polarization identity.
+    ``directions`` is a list of mode labels ('const', 'cos2', ...).  One
+    ``_stencil`` per direction serves both its diagonal finite difference
+    and the flow route of every pair; finite differences on off-diagonal
+    pairs use the polarization identity, two more stencils per pair.
     Fitted slopes regress each route against the finite-difference column.
     Returns the report's ``hessian`` block: a dict with keys directions, A,
     k, t_step, pairs, fitted_slopes and max_flow_asymmetry, in that order.
@@ -386,13 +385,10 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     k = state.k
     fields = [NormalField.from_mode(d, state.curve.n) for d in directions]
     params = MetricParams(A=A, k=k)
-
-    # two solves per direction cover the flow route for every ordered pair
-    flowed = [_flowed_psi(state, f, t_step) for f in fields]
+    stencils = [_stencil(state, f, t_step) for f in fields]
 
     def flow_value(i, j):
-        return _flow_hessian(state, flowed[i], fields[i], fields[j],
-                             params, t_step)
+        return _flow_hessian(state, stencils[i], fields[i], fields[j], params)
 
     pairs = []
     asym = 0.0
@@ -401,8 +397,7 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
             ai, aj = fields[i].values, fields[j].values
             row = {"i": i, "j": j, "pair": f"{directions[i]}*{directions[j]}"}
             if i == j:
-                row["fd"] = fd_second_derivative(state, ai,
-                                                 t_step=t_step).value
+                row["fd"] = _second_difference(state, stencils[i]).value
             else:
                 qp = fd_second_derivative(state, ai + aj, t_step=t_step).value
                 qm = fd_second_derivative(state, ai - aj, t_step=t_step).value

@@ -178,9 +178,11 @@ def test_criterion_7_steklov_spectrum():
     ok = worst <= 1e-4
     vals = ", ".join(f"{v:.6f}" for v in values)
     _record(7, "quadratic boundary form spectrum at the critical disk", ok,
-            f"modes 1..4 give {vals} vs (n-1) pi (tol 1e-04); constant mode "
-            f"gives {q0:.4f} while the finite difference gives {fd0:.4f} "
-            f"(known sign discrepancy, reported not resolved)")
+            f"modes 1..4 give {vals} vs (n-1) pi (tol 1e-04); the "
+            f"curvature term has the opposite sign to the finite difference "
+            f"in every mode, pi (m-1) against pi (m+1) on cos m and "
+            f"{q0:.4f} against {fd0:.4f} on the constant mode (known sign "
+            f"discrepancy, reported not resolved)")
 
 
 def test_criterion_8_gradient_flow_reaches_circle():

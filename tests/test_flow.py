@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadshape import flow
+from quadshape.bem import _grid_sin_factor
 from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
                             FlowConfig, circle_deviation, convergence_report,
                             descend, fit_circle, newton_direction, trace_rows)
@@ -185,6 +186,26 @@ def test_newton_direction_memory_is_bounded(centered_source):
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * n * n * 8
+
+
+def test_flow_step_memory_at_n1024_is_bounded(centered_source):
+    # one Newton step on criterion 8's ellipse at n = 1024: the accepted
+    # state's LU, K', L and H make 4 n x n arrays, and building the trial
+    # state's operator bundle peaks 3.09 more (abs temporary of the 1-norm
+    # and lu_factor's Fortran copy of S), 7.06 measured; the per-n sin
+    # factor is cached first so that its one array does not count
+    n = 1024
+    _grid_sin_factor(n)
+    curve = Curve.ellipse(1.2, 0.8, n=n)
+    params = MetricParams(A=1.0, k=1.0)
+    tracemalloc.start()
+    try:
+        res = descend(curve, centered_source, params, FlowConfig(max_iters=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 1
+    assert peak <= 7.2 * n * n * 8
 
 
 def test_trace_rows_format(small_flow):

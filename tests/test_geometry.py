@@ -71,7 +71,7 @@ def test_total_curvature_is_one_turn(amp, mode):
 def test_total_curvature_gap_at_n128_is_the_trapezoid_error(amp):
     # r = 1 + amp cos(4 theta) at n = 128: kappa is right at every node, and
     # the Gauss-Bonnet gap is the trapezoid error of the exact integrand
-    # kappa |c_theta|, not a curvature error
+    # kappa * speed, not a curvature error
     n = 128
     c = Curve.from_radial(1.0, cos={4: amp}, n=n)
     th = c.theta

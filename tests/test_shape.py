@@ -177,10 +177,16 @@ def test_second_difference_shrinks_step_on_bad_curves(centered_source):
     # self-intersection; the stencil must retry with a smaller one
     c = Curve.from_radial(1.0, cos={4: 0.12}, n=128)
     direction = 40.0 * np.cos(8 * c.theta)
-    r = fd_second_derivative(solve_state(c, centered_source, 1.0), direction,
-                             t_step=0.05)
+    state = solve_state(c, centered_source, 1.0)
+    r = fd_second_derivative(state, direction, t_step=0.05)
     assert r.retries >= 1
     assert np.isfinite(r.value)
+    # the first derivative shares the stencil, so it retries too instead of
+    # failing the source clearance at t = 0.05; after two shrinks it lands
+    # within 0.6% of half the boundary form
+    fd = fd_first_derivative(state, direction, t_step=0.05)
+    assert fd == pytest.approx(0.5 * hadamard_derivative(state, direction),
+                               rel=1e-2)
 
 
 # -- second variation routes -----------------------------------------------
@@ -369,6 +375,25 @@ def test_hessian_report_uses_the_single_routes(ellipse_state):
         if pair["i"] == pair["j"]:
             assert pair["fd"] == fd_second_derivative(
                 ellipse_state, a.values, t_step=t_step).value
+
+
+def test_hessian_report_solves_each_stencil_once(centered_source,
+                                                monkeypatch):
+    # one four-point stencil per direction serves its fd diagonal and its
+    # flow route, and two more per off-diagonal pair the polarized fd:
+    # 4 d + 8 d (d - 1) / 2 solves for d directions
+    import quadshape.shape as shape
+    state = solve_state(Curve.circle(1.0, n=64), centered_source, 1.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_state(*args)
+
+    monkeypatch.setattr(shape, "solve_state", counting)
+    hessian_report(state, ["const", "cos1", "cos2", "sin3"])
+    d = 4
+    assert len(calls) == 4 * d + 8 * d * (d - 1) // 2 == 64
 
 
 def test_hessian_report_peak_memory_is_bounded(centered_source):
