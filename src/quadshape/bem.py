@@ -8,19 +8,23 @@ discretized by a Nystrom rule that splits the log singularity Kress-style:
 the kernel is written as a smooth part (handled by the plain trapezoid rule,
 which is spectrally accurate on periodic grids) plus log|2 sin((t-s)/2)|,
 whose product quadrature weights are known exactly in Fourier space.  The
-resulting dense system is LU-factorized once per curve and S itself is not
-kept, so a bundle holds the LU factors and K'; the Dirichlet-to-Neumann map
-reuses that factorization in one transposed solve for all of its columns.
+resulting dense system is LU-factorized once per curve, in S's own buffer,
+so a bundle holds the LU factors and K'.  The Dirichlet-to-Neumann map
+reuses that factorization in one transposed solve for all of its columns,
+in K''s buffer; nothing reads the factors or K' after that, so they are
+released and the bundle keeps L alone.
 
-``assemble_operators`` builds the single-layer matrix S and the adjoint
-double-layer matrix K' in one pass over the node pairs: the coordinate
-offsets, as contiguous per-coordinate arrays, and their squared lengths
-are shared by both kernels, and every later step works in place.  The log|2 sin((t-s)/2)| split divides by a matrix that
-depends only on the grid size, ``_grid_sin_factor(n)``; it is cached per n,
-built on the first assembly at that size (never at import) and then kept
-for the life of the process: one read-only n x n array per distinct n,
-8 MB at n = 1024.  Counting that array, a bundle's assembly holds at most
-four n x n arrays.
+``assemble_operators`` builds the single-layer matrix S, in Fortran order,
+and the adjoint double-layer matrix K' in one pass over the node pairs,
+by blocks of rows written straight into the two results: a block's
+coordinate offsets and squared lengths are shared by both kernels.  The
+log|2 sin((t-s)/2)| split divides by a matrix that depends only on the grid
+size, ``_grid_sin_factor(n)``; it is cached per n, built on the first
+assembly at that size (never at import) and then kept for the life of the
+process: one read-only n x n array per distinct n, 8 MB at n = 1024.  The
+exact Fourier weights of that log part are cached per n too, as a strided
+view of 2n numbers.  Besides the sin factor, a bundle's construction peaks
+at about 2.2 n x n arrays at n = 512.
 
 The first-kind operator degenerates when the logarithmic capacity
 (transfinite diameter) of the curve approaches one, where the constant
@@ -48,6 +52,8 @@ from .geometry import TWO_PI, GeometryError
 
 RESCALE_FACTOR = 4.0
 RCOND_LIMIT = 1e-13
+# node pairs per row block of ``assemble_operators``
+_ASSEMBLY_BLOCK = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -86,6 +92,24 @@ def _grid_sin_factor(n):
     return sin_fac
 
 
+@lru_cache(maxsize=None)
+def _grid_log_weights_t(n):
+    """Read-only n x n matrix of the exact Fourier weights of the
+    log|2 sin((t-s)/2)| part on the n-point grid, transposed: mode m maps
+    to itself times 1/(2|m|), constants to zero.
+
+    The weights form a circulant matrix C[i, j] = col[(i - j) mod n], so row
+    j of C^T is a window of col repeated twice; the matrix is a strided
+    view of those 2n numbers, cached per n.
+    """
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    inv = np.zeros(n)
+    inv[1:] = 0.5 / np.abs(k[1:])
+    col = np.fft.ifft(inv).real
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((col, col)), n)[n:0:-1]
+
+
 def assemble_operators(curve):
     """Dense Nystrom matrices ``(S, Kp)`` of the single-layer operator and of
     the adjoint double-layer operator K' on the curve, in one pass over the
@@ -98,49 +122,57 @@ def assemble_operators(curve):
     is smooth on smooth curves with diagonal limit -kappa(x) / (4 pi), so
     the plain trapezoid rule applies.
 
-    Both kernels read the per-coordinate offsets ``dx``, ``dy`` and their
-    squared length ``r2``.  K' is finished first, in three n x n buffers,
-    and S is then built in place on ``r2``; with the cached
-    ``_grid_sin_factor(n)`` counted, at most four n x n arrays are alive at
-    once.
+    S is returned in Fortran order, so that ``lu_factor`` can work in its
+    buffer, and K' in C order.  Both are written block of rows by block of
+    rows, straight into their final buffers: a block's coordinate offsets
+    and squared lengths ``r2`` serve the K' rows and the same rows of S^T,
+    because ``r2`` and ``_grid_sin_factor(n)`` are symmetric.  Besides the
+    two results, one block-sized buffer is alive: the rows of S^T hold the
+    block's other intermediates until S is formed in them.
     """
     n = curve.n
     x, y = curve.points[:, 0], curve.points[:, 1]
-    # kp = dx nx + dy ny and r2 = dx^2 + dy^2 in three buffers: dx is formed
-    # twice, once per sum (IEEE addition commutes, so the order of the two
-    # terms does not change a bit)
-    r2 = y[:, None] - y[None, :]
-    kp = r2 * curve.normal[:, None, 1]
-    r2 *= r2
-    tmp = x[:, None] - x[None, :]
-    tmp *= curve.normal[:, None, 0]
-    kp += tmp
-    np.subtract(x[:, None], x[None, :], out=tmp)
-    r2 += np.multiply(tmp, tmp, out=tmp)
-    np.fill_diagonal(r2, 1.0)
-    np.negative(kp, out=kp)
-    kp /= np.multiply(TWO_PI, r2, out=tmp)
-    del tmp
-    np.fill_diagonal(kp, -curve.kappa / (2.0 * TWO_PI))
-    kp *= curve.weights[None, :]
+    nx, ny = curve.normal[:, 0], curve.normal[:, 1]
+    w, speed = curve.weights, curve.speed
+    sin_fac = _grid_sin_factor(n)
+    log_t = _grid_log_weights_t(n)
+    S = np.empty((n, n), order="F")
+    kp = np.empty((n, n))
+    step = min(n, max(1, _ASSEMBLY_BLOCK // n))
+    r2_buf = np.empty((step, n))
+    for i0 in range(0, n, step):
+        rows = slice(i0, min(i0 + step, n))
+        r2 = r2_buf[:rows.stop - i0]
+        # the block's rows of S^T serve as scratch until S is formed in them
+        sb = S.T[rows]
+        # kp = dx nx + dy ny and r2 = dx^2 + dy^2 (IEEE addition commutes,
+        # so the order of the two terms does not change a bit)
+        np.subtract(y[rows, None], y[None, :], out=r2)
+        kb = np.multiply(r2, ny[rows, None], out=kp[rows])
+        r2 *= r2
+        np.subtract(x[rows, None], x[None, :], out=sb)
+        sb *= nx[rows, None]
+        kb += sb
+        np.subtract(x[rows, None], x[None, :], out=sb)
+        r2 += np.multiply(sb, sb, out=sb)
+        # a block's diagonal entries start at column i0
+        np.fill_diagonal(r2[:, i0:], 1.0)
+        np.negative(kb, out=kb)
+        kb /= np.multiply(TWO_PI, r2, out=sb)
+        np.fill_diagonal(kb[:, i0:], -curve.kappa[rows] / (2.0 * TWO_PI))
+        kb *= w[None, :]
 
-    # S = -(1/2 pi) log(|x_i - x_j| / |2 sin((t_i - t_j)/2)|) * w_j plus the
-    # log|2 sin| part on exact Fourier weights: mode m maps to itself times
-    # 1/(2|m|), constants to zero
-    smooth = np.sqrt(r2, out=r2)
-    smooth /= _grid_sin_factor(n)
-    np.log(smooth, out=smooth)
-    np.negative(smooth, out=smooth)
-    smooth /= TWO_PI
-    np.fill_diagonal(smooth, -np.log(curve.speed) / TWO_PI)
-    smooth *= curve.weights[None, :]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    inv = np.zeros(n)
-    inv[1:] = 0.5 / np.abs(k[1:])
-    logpart = scipy.linalg.circulant(np.fft.ifft(inv).real)
-    logpart *= curve.speed[None, :]
-    smooth += logpart
-    return smooth, kp
+        # row j of S^T is column j of S: -(1/2 pi) w_j times
+        # log(|x_i - x_j| / |2 sin((t_i - t_j)/2)|), plus the log|2 sin| part
+        np.sqrt(r2, out=sb)
+        sb /= sin_fac[rows]
+        np.log(sb, out=sb)
+        np.negative(sb, out=sb)
+        sb /= TWO_PI
+        np.fill_diagonal(sb[:, i0:], -np.log(speed[rows]) / TWO_PI)
+        sb *= w[rows, None]
+        sb += np.multiply(log_t[rows], speed[rows, None], out=r2)
+    return S, kp
 
 
 class BoundaryOperators:
@@ -148,11 +180,13 @@ class BoundaryOperators:
 
     Construction assembles the single-layer matrix S and the Neumann jump
     matrix K' (on the internally rescaled curve when the capacity guard
-    triggers), LU-factors S and drops it: a bundle holds two n x n arrays,
-    the LU factors and K'.  ``single_layer_matrix`` reassembles S on
-    request.  The Dirichlet-to-Neumann matrix is formed lazily, on first
-    use, from one transposed solve of the shared factorization against
-    (K' + I/2)^T, and adds a third n x n array.
+    triggers) and LU-factors S in its own buffer: a bundle holds two n x n
+    arrays, the LU factors and K'.  ``single_layer_matrix`` reassembles S
+    on request.  The Dirichlet-to-Neumann matrix is formed lazily, on first
+    use, from one transposed solve of the factorization against
+    (K' + I/2)^T in K''s buffer; the factors are then released, so a bundle
+    whose DtN matrix is built holds that one n x n array, and
+    ``solve_dirichlet`` and ``neumann_trace`` raise ``RuntimeError``.
     """
 
     def __init__(self, curve):
@@ -161,11 +195,11 @@ class BoundaryOperators:
         self.capacity_estimate = cap
         self.scale = RESCALE_FACTOR if 0.5 < cap < 2.0 else 1.0
         self._work = curve if self.scale == 1.0 else curve.scaled(self.scale)
-        S, self.neumann_jump = assemble_operators(self._work)
-        anorm = np.linalg.norm(S, 1)
-        # S is not kept (--dump-operators reassembles it).  It is C-ordered,
-        # so getrf factors a Fortran copy even with overwrite_a, and S is
-        # freed when __init__ returns
+        S, self._neumann_jump = assemble_operators(self._work)
+        # the 1-norm without an n x n temporary; S is Fortran-ordered, so
+        # getrf factors it in place and S is not kept (--dump-operators
+        # reassembles it)
+        anorm = scipy.linalg.lapack.dlange("1", S)
         self._lu = scipy.linalg.lu_factor(S, overwrite_a=True)
         rcond = scipy.linalg.lapack.dgecon(self._lu[0], anorm, norm="1")[0]
         self.rcond = float(rcond)
@@ -179,9 +213,17 @@ class BoundaryOperators:
     def n(self):
         return self.curve.n
 
+    def _check_factors(self):
+        if self._lu is None:
+            raise RuntimeError(
+                "the LU factors and K' were released when the DtN matrix was "
+                "built; construct a new BoundaryOperators to solve on this "
+                "curve")
+
     def solve_dirichlet(self, data):
         """Density whose single-layer potential matches the boundary data,
         as a read-only array on the solver's (possibly rescaled) grid."""
+        self._check_factors()
         data = np.asarray(data, dtype=float)
         if data.shape != (self.n,):
             raise GeometryError("boundary data must live on the curve grid")
@@ -192,7 +234,8 @@ class BoundaryOperators:
     def neumann_trace(self, sigma):
         """Interior normal derivative of the density's potential, on the
         original curve (the chain rule restores the internal scale)."""
-        return self.scale * (self.neumann_jump @ sigma + 0.5 * sigma)
+        self._check_factors()
+        return self.scale * (self._neumann_jump @ sigma + 0.5 * sigma)
 
     def single_layer_matrix(self):
         """The single-layer matrix S on the solver's (possibly rescaled)
@@ -206,16 +249,20 @@ class BoundaryOperators:
         matrix, built on first access and kept; it is the map's only route.
 
         L^T solves S^T X = (K' + I/2)^T, so one transposed solve of the
-        shared factorization, in place on one Fortran-order right-hand
-        side, gives L without forming S^-1.
+        factorization gives L without forming S^-1.  K' is C-ordered, so its
+        transpose is the Fortran-order right-hand side the solve overwrites,
+        and L ends up in K''s buffer.  Nothing reads the LU factors or K'
+        after this, so they are released: ``solve_dirichlet`` and
+        ``neumann_trace`` raise ``RuntimeError`` from then on.
         """
         if self._dtn is None:
-            rhs = np.array(self.neumann_jump.T, order="F")
+            rhs = self._neumann_jump.T
             rhs[np.diag_indices(self.n)] += 0.5
             dtn = scipy.linalg.lu_solve(self._lu, rhs, trans=1,
                                         overwrite_b=True).T
             dtn *= self.scale
             self._dtn = dtn
+            self._lu = self._neumann_jump = None
         return self._dtn
 
     def _interior_offsets(self, x):
@@ -257,7 +304,7 @@ def get_operators(curve):
     The solver does not use this cache: ``shape.solve_state`` builds a fresh
     ``BoundaryOperators`` that lives only as long as the state holding it.
     The cache keeps up to 32 dense bundles alive, each two n x n arrays, or
-    three once its DtN matrix is built, so prefer constructing
-    ``BoundaryOperators`` directly.
+    one once its DtN matrix is built (and then no longer able to solve), so
+    prefer constructing ``BoundaryOperators`` directly.
     """
     return BoundaryOperators(curve)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshape.bem import (AccuracyWarning, BoundaryOperators,
-                           _grid_sin_factor, assemble_operators,
-                           get_operators, log_capacity_estimate)
+                           _grid_log_weights_t, _grid_sin_factor,
+                           assemble_operators, get_operators,
+                           log_capacity_estimate)
 from quadshape.geometry import Curve
+from quadshape.reports import solver_dict
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,14 +73,31 @@ def reference_neumann_jump(curve):
         "radial1024"])
 def test_one_pass_assembly_matches_separate_assemblers(curve):
     S, Kp = assemble_operators(curve)
-    assert np.array_equal(S, reference_single_layer(curve))
+    ref = reference_single_layer(curve)
+    assert np.array_equal(S, ref)
     assert np.array_equal(Kp, reference_neumann_jump(curve))
+    # S comes in Fortran order, so getrf factors it in its own buffer
+    assert S.flags.f_contiguous
+    # the bundle's 1-norm, taken without an n x n temporary, is bit for bit
+    # the column-sum norm of the C-ordered reference
+    assert scipy.linalg.lapack.dlange("1", S) == np.linalg.norm(ref, 1)
+    # and its reported rcond is that of a C-order factorization of the
+    # reference, to the 3 digits the reports keep (the raw dgecon digits
+    # can vary with where the factors sit in memory)
+    ops = BoundaryOperators(curve)
+    work_ref = reference_single_layer(ops._work)
+    lu = scipy.linalg.lu_factor(work_ref)[0]
+    rcond = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(work_ref, 1),
+                                       norm="1")[0]
+    assert solver_dict(ops)["rcond"] == float("%.3g" % rcond)
 
 
 def test_assembly_peak_memory_is_bounded():
-    # the one-pass assembler holds at most four n x n arrays besides the
-    # small per-node vectors; the two separate assemblers peak at eight.
-    # The cache starts cold, so building the per-n sin factor counts too.
+    # the one-pass assembler writes S and K' in row blocks straight into
+    # their final buffers, so besides the two results it holds one
+    # block-sized buffer (1/8 n x n at n = 512) and the small per-node
+    # vectors; the two separate assemblers peak at eight n x n arrays.  The
+    # cache starts cold, so the per-n sin factor counts too: 3.19 measured.
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
     _grid_sin_factor.cache_clear()
@@ -88,7 +107,7 @@ def test_assembly_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * n * n * 8
+    assert peak <= 3.3 * n * n * 8
 
 
 def test_sin_factor_is_cached_per_grid_size():
@@ -103,6 +122,24 @@ def test_sin_factor_is_cached_per_grid_size():
     ref = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
     np.fill_diagonal(ref, 1.0)
     assert np.array_equal(fac, ref)
+    # the assembler reads rows of S^T, so it relies on the sin factor being
+    # symmetric bit for bit
+    assert np.array_equal(fac, fac.T)
+
+
+def test_log_weights_are_cached_per_grid_size():
+    _grid_log_weights_t.cache_clear()
+    BoundaryOperators(Curve.circle(3.0, n=64))
+    BoundaryOperators(Curve.ellipse(1.5, 0.5, n=64))
+    info = _grid_log_weights_t.cache_info()
+    assert info.hits >= 1 and info.currsize == 1
+    log_t = _grid_log_weights_t(64)
+    assert not log_t.flags.writeable
+    k = np.fft.fftfreq(64, d=1.0 / 64)
+    inv = np.zeros(64)
+    inv[1:] = 0.5 / np.abs(k[1:])
+    ref = scipy.linalg.circulant(np.fft.ifft(inv).real)
+    assert np.array_equal(log_t, ref.T)
 
 
 # -- single layer closed forms on circles ----------------------------------
@@ -202,8 +239,9 @@ def test_dtn_matrix_matches_explicit_inverse(curve, scale):
 
 
 def test_operator_bundle_memory_is_bounded():
-    # a bundle holds the LU factors and K' but not S; the DtN matrix adds
-    # one n x n array, and its transposed solve works in that array's buffer
+    # a bundle holds the LU factors and K' but not S, which getrf factors
+    # in its own buffer; the DtN matrix's transposed solve works in K''s
+    # buffer and then the factors go, so the bundle holds L alone
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
     _grid_sin_factor(n)
@@ -211,15 +249,35 @@ def test_operator_bundle_memory_is_bounded():
     tracemalloc.start()
     try:
         ops = BoundaryOperators(c)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         ops.dtn_matrix
         held_dtn, peak_dtn = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= 2.1 * nn
-    assert held_dtn <= 3.1 * nn
-    assert peak_dtn <= 3.3 * nn
+    assert peak <= 2.5 * nn
+    assert held_dtn <= 1.1 * nn
+    assert peak_dtn <= 2.3 * nn
+
+
+def test_released_factors_refuse_further_solves():
+    # once L is built, nothing reads the LU factors or K' again, so the
+    # bundle drops them; a later solve says so instead of answering
+    ops = BoundaryOperators(Curve.ellipse(1.3, 0.7, n=64))
+    v = np.sin(2 * ops.curve.theta)
+    sigma = ops.solve_dirichlet(v)
+    applied = ops.neumann_trace(sigma)
+    assert np.allclose(ops.dtn_matrix @ v, applied, atol=1e-11)
+    for call, arg in ((ops.solve_dirichlet, v), (ops.neumann_trace, sigma)):
+        with pytest.raises(RuntimeError, match="released") as err:
+            call(arg)
+        # a plain RuntimeError: SolverError would read as a singular system
+        assert type(err.value) is RuntimeError
+        assert "new BoundaryOperators" in str(err.value)
+    # the DtN matrix and the reassembled S stay available
+    assert ops.dtn_matrix is ops.dtn_matrix
+    assert ops.single_layer_matrix().shape == (64, 64)
 
 
 def test_dtn_symmetric_in_arclength_product():
