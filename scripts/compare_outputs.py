@@ -19,7 +19,16 @@ status is 2 when a run could not read its config (the comparison would
 then only compare two identical error messages), else 1 when anything
 differs.
 
-Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC OUTDIR [--seeds 7 8]
+``--flow-starts N`` runs an outcome sweep instead: ``flow`` on the seeded
+starts of the ``flow_descent`` workload for seeds 0 to N-1, in
+``OUTDIR/flow-starts``.  Flow iteration counts are chaotic in the start,
+so a sweep shows whether a change that moves bytes at rounding level also
+moves outcomes.  It lists only the starts whose exit code, flow ``reason``,
+``iterations`` or stderr differ, then their count; the exit status is 1 if
+any differ.
+
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC OUTDIR
+           [--seeds 7 8 | --flow-starts N]
 """
 
 import argparse
@@ -89,6 +98,23 @@ def jobs(config_dir, seeds):
     return out
 
 
+def flow_start_jobs(config_dir, count):
+    """(name, argv after ``quadshape.cli``) of ``flow`` on the seeded start
+    of the ``flow_descent`` workload for seeds 0 to count-1, writing their
+    configs into ``config_dir``."""
+    config_dir = config_dir.resolve()
+    workloads = _load_workloads()
+    out = []
+    for seed in range(count):
+        workdir = config_dir / f"start{seed}"
+        workdir.mkdir(parents=True, exist_ok=True)
+        load = workloads.flow_descent(seed, str(workdir))
+        (op,) = load.checked_only
+        pathlib.Path(op.config).write_text(load.files[op.config])
+        out.append((f"start{seed}", [op.command, op.config]))
+    return out
+
+
 def run_tree(src, workdir, job_list):
     """Run every job with ``src`` first on the import path and return the
     names of the jobs that could not read their config.  Output directories
@@ -106,6 +132,40 @@ def run_tree(src, workdir, job_list):
         if "cannot read config file" in proc.stderr:
             unread.append(name)
     return unread
+
+
+def flow_outcome(workdir, name):
+    """Exit code, flow ``reason`` and ``iterations`` (None without a
+    report) and stderr of one run of ``run_tree``."""
+    report = workdir / name / "report.json"
+    flow = json.loads(report.read_text())["flow"] if report.is_file() else {}
+    return {"exit": (workdir / f"{name}.exit").read_text().strip(),
+            "reason": flow.get("reason"),
+            "iterations": flow.get("iterations"),
+            "stderr": (workdir / f"{name}.stderr").read_text()}
+
+
+def compare_flow_starts(old_src, new_src, outdir, count):
+    """Run the first ``count`` seeded flow starts under both trees and print
+    the starts whose outcome differs; return the exit status."""
+    job_list = flow_start_jobs(outdir / "configs", count)
+    unread = {side: run_tree(src, outdir / side, job_list)
+              for side, src in (("old", old_src), ("new", new_src))}
+    ndiff = 0
+    for name, _ in job_list:
+        old, new = (flow_outcome(outdir / side, name) for side in unread)
+        if old != new:
+            ndiff += 1
+            print(f"{name}: " + ", ".join(
+                f"{key} {old[key]!r} -> {new[key]!r}"
+                for key in old if old[key] != new[key]))
+    for side, names in unread.items():
+        for name in names:
+            print(f"cannot read config: {side}/{name}")
+    print(f"{len(job_list)} flow starts per tree, {ndiff} outcomes differ")
+    if any(unread.values()):
+        return 2
+    return 1 if ndiff else 0
 
 
 def differences(old, new):
@@ -172,9 +232,16 @@ def main(argv=None):
     parser.add_argument("outdir", type=pathlib.Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8],
                         help="workload seeds (default: 7 8)")
+    parser.add_argument("--flow-starts", type=int, metavar="N",
+                        help="instead of the byte comparison, compare the "
+                             "outcomes of flow on the seeded flow_descent "
+                             "starts of seeds 0 to N-1")
     args = parser.parse_args(argv)
 
     outdir = args.outdir.resolve()
+    if args.flow_starts is not None:
+        return compare_flow_starts(args.old_src, args.new_src,
+                                   outdir / "flow-starts", args.flow_starts)
     job_list = jobs(outdir / "configs", args.seeds)
     unread = {side: run_tree(src, outdir / side, job_list)
               for side, src in (("old", args.old_src), ("new", args.new_src))}

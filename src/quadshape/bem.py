@@ -19,12 +19,11 @@ and the adjoint double-layer matrix K' in one pass over the node pairs,
 by blocks of rows written straight into the two results: a block's
 coordinate offsets and squared lengths are shared by both kernels.  The
 log|2 sin((t-s)/2)| split divides by a matrix that depends only on the grid
-size, ``_grid_sin_factor(n)``; it is cached per n, built on the first
-assembly at that size (never at import) and then kept for the life of the
-process: one read-only n x n array per distinct n, 8 MB at n = 1024.  The
-exact Fourier weights of that log part are cached per n too, as a strided
-view of 2n numbers.  Besides the sin factor, a bundle's construction peaks
-at about 2.2 n x n arrays at n = 512.
+size, ``_grid_sin_factor(n)``, and the exact Fourier weights of that log
+part depend on n alone too.  Both are circulant, so each is cached per n as
+a read-only strided view of 2n numbers, built on the first assembly at that
+size (never at import); no n x n array outlives a bundle.  A bundle's
+construction peaks at about 2.2 n x n arrays at n = 512.
 
 The first-kind operator degenerates when the logarithmic capacity
 (transfinite diameter) of the curve approaches one, where the constant
@@ -73,23 +72,29 @@ def log_capacity_estimate(curve):
     return curve.perimeter / TWO_PI
 
 
+def _circulant_t(col):
+    """Read-only n x n view C^T of the circulant C[i, j] = col[(i - j) mod n]
+    over 2n numbers: row j of C^T is a window of col repeated twice."""
+    n = len(col)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((col, col)), n)[n:0:-1]
+
+
 @lru_cache(maxsize=None)
 def _grid_sin_factor(n):
     """Read-only matrix |2 sin((theta_i - theta_j)/2)| with unit diagonal on
     the grid theta_j = 2 pi j / n of every n-point ``Curve``.
 
-    It depends on n alone, so it is built the first time a curve of that
-    size is assembled and kept: one n x n array per distinct n.
+    Entry (i, j) is 2 sin(pi min(m, n - m) / n) with m = (i - j) mod n, so
+    the matrix is circulant and symmetric bit for bit, and it is a strided
+    view of 2n numbers, cached per n.  Taking the angle from the integer m,
+    not from the difference theta_i - theta_j (which cancels), keeps every
+    entry within about one ulp of the exact value.
     """
-    th = TWO_PI * np.arange(n) / n
-    sin_fac = th[:, None] - th[None, :]
-    sin_fac *= 0.5
-    np.sin(sin_fac, out=sin_fac)
-    sin_fac *= 2.0
-    np.abs(sin_fac, out=sin_fac)
-    np.fill_diagonal(sin_fac, 1.0)
-    sin_fac.setflags(write=False)
-    return sin_fac
+    m = np.arange(n)
+    col = 2.0 * np.sin(0.5 * TWO_PI * np.minimum(m, n - m) / n)
+    col[0] = 1.0
+    return _circulant_t(col)
 
 
 @lru_cache(maxsize=None)
@@ -98,16 +103,13 @@ def _grid_log_weights_t(n):
     log|2 sin((t-s)/2)| part on the n-point grid, transposed: mode m maps
     to itself times 1/(2|m|), constants to zero.
 
-    The weights form a circulant matrix C[i, j] = col[(i - j) mod n], so row
-    j of C^T is a window of col repeated twice; the matrix is a strided
-    view of those 2n numbers, cached per n.
+    The weights form a circulant matrix, so this is a strided view of 2n
+    numbers, cached per n.
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
     inv = np.zeros(n)
     inv[1:] = 0.5 / np.abs(k[1:])
-    col = np.fft.ifft(inv).real
-    return np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((col, col)), n)[n:0:-1]
+    return _circulant_t(np.fft.ifft(inv).real)
 
 
 def assemble_operators(curve):
@@ -126,9 +128,10 @@ def assemble_operators(curve):
     buffer, and K' in C order.  Both are written block of rows by block of
     rows, straight into their final buffers: a block's coordinate offsets
     and squared lengths ``r2`` serve the K' rows and the same rows of S^T,
-    because ``r2`` and ``_grid_sin_factor(n)`` are symmetric.  Besides the
-    two results, one block-sized buffer is alive: the rows of S^T hold the
-    block's other intermediates until S is formed in them.
+    because ``r2`` and ``_grid_sin_factor(n)`` are symmetric bit for bit.
+    Besides the two results, one block-sized buffer is alive: the rows of
+    S^T hold the block's other intermediates until S is formed in them; the
+    sin factor and the log weights are circulant views of 2n numbers.
     """
     n = curve.n
     x, y = curve.points[:, 0], curve.points[:, 1]
@@ -200,7 +203,10 @@ class BoundaryOperators:
         # getrf factors it in place and S is not kept (--dump-operators
         # reassembles it)
         anorm = scipy.linalg.lapack.dlange("1", S)
-        self._lu = scipy.linalg.lu_factor(S, overwrite_a=True)
+        # no finiteness check (it would allocate an n x n bool array): a
+        # non-finite S gives a non-finite or zero rcond, refused below
+        self._lu = scipy.linalg.lu_factor(S, overwrite_a=True,
+                                          check_finite=False)
         rcond = scipy.linalg.lapack.dgecon(self._lu[0], anorm, norm="1")[0]
         self.rcond = float(rcond)
         if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
@@ -227,7 +233,7 @@ class BoundaryOperators:
         data = np.asarray(data, dtype=float)
         if data.shape != (self.n,):
             raise GeometryError("boundary data must live on the curve grid")
-        sigma = scipy.linalg.lu_solve(self._lu, data)
+        sigma = scipy.linalg.lu_solve(self._lu, data, check_finite=False)
         sigma.setflags(write=False)
         return sigma
 
@@ -259,7 +265,8 @@ class BoundaryOperators:
             rhs = self._neumann_jump.T
             rhs[np.diag_indices(self.n)] += 0.5
             dtn = scipy.linalg.lu_solve(self._lu, rhs, trans=1,
-                                        overwrite_b=True).T
+                                        overwrite_b=True,
+                                        check_finite=False).T
             dtn *= self.scale
             self._dtn = dtn
             self._lu = self._neumann_jump = None

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadshape.bem import (AccuracyWarning, BoundaryOperators,
+from quadshape import bem
+from quadshape.bem import (AccuracyWarning, BoundaryOperators, SolverError,
                            _grid_log_weights_t, _grid_sin_factor,
                            assemble_operators, get_operators,
                            log_capacity_estimate)
@@ -18,6 +19,15 @@ TWO_PI = 2.0 * np.pi
 
 # -- one-pass assembly against the two separate assemblers -----------------
 
+def reference_sin_factor(n):
+    """|2 sin((t_i - t_j)/2)| on the periodic n-point grid, from the integer
+    offset m = (i - j) mod n as 2 sin(pi min(m, n - m) / n), so that no
+    difference of two angles cancels."""
+    i = np.arange(n)
+    m = np.subtract.outer(i, i) % n
+    return 2.0 * np.sin(0.5 * TWO_PI * np.minimum(m, n - m) / n)
+
+
 def reference_single_layer(curve):
     """Dense Nystrom matrix of the single-layer operator on the curve.
 
@@ -26,11 +36,9 @@ def reference_single_layer(curve):
     """
     n = curve.n
     pts = curve.points
-    th = curve.theta
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    # |2 sin((t_i - t_j)/2)| on the periodic grid
-    sin_fac = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
+    sin_fac = reference_sin_factor(n)
     np.fill_diagonal(dist, 1.0)
     np.fill_diagonal(sin_fac, 1.0)
     smooth = -np.log(dist / sin_fac) / TWO_PI
@@ -97,7 +105,8 @@ def test_assembly_peak_memory_is_bounded():
     # their final buffers, so besides the two results it holds one
     # block-sized buffer (1/8 n x n at n = 512) and the small per-node
     # vectors; the two separate assemblers peak at eight n x n arrays.  The
-    # cache starts cold, so the per-n sin factor counts too: 3.19 measured.
+    # cache starts cold, but the per-n sin factor and log weights are views
+    # of 2n numbers each: 2.20 measured.
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
     _grid_sin_factor.cache_clear()
@@ -107,7 +116,7 @@ def test_assembly_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.3 * n * n * 8
+    assert peak <= 2.3 * n * n * 8
 
 
 def test_sin_factor_is_cached_per_grid_size():
@@ -118,13 +127,37 @@ def test_sin_factor_is_cached_per_grid_size():
     assert info.hits >= 1 and info.currsize == 1
     fac = _grid_sin_factor(64)
     assert not fac.flags.writeable
-    th = Curve.circle(1.0, n=64).theta
-    ref = np.abs(2.0 * np.sin(0.5 * (th[:, None] - th[None, :])))
+    ref = reference_sin_factor(64)
     np.fill_diagonal(ref, 1.0)
     assert np.array_equal(fac, ref)
     # the assembler reads rows of S^T, so it relies on the sin factor being
     # symmetric bit for bit
     assert np.array_equal(fac, fac.T)
+    # a cold build allocates a few vectors of n numbers, not an n x n array
+    n = 512
+    tracemalloc.start()
+    try:
+        _grid_sin_factor(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * 8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is plain double here")
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_sin_factor_is_accurate_to_an_ulp(n):
+    # the factor against |2 sin(pi m / n)| in long double: taking the angle
+    # from theta_i - theta_j instead loses up to hundreds of ulp to
+    # cancellation as n grows
+    i = np.arange(n)
+    m = (np.subtract.outer(i, i) % n).astype(np.longdouble)
+    exact = np.abs(2 * np.sin(np.arccos(np.longdouble(-1)) * m / n))
+    np.fill_diagonal(exact, 1)
+    ulp = np.spacing(exact.astype(float))
+    err = np.abs(_grid_sin_factor(n) - exact) / ulp
+    assert float(np.max(err)) <= 1.5
 
 
 def test_log_weights_are_cached_per_grid_size():
@@ -241,10 +274,11 @@ def test_dtn_matrix_matches_explicit_inverse(curve, scale):
 def test_operator_bundle_memory_is_bounded():
     # a bundle holds the LU factors and K' but not S, which getrf factors
     # in its own buffer; the DtN matrix's transposed solve works in K''s
-    # buffer and then the factors go, so the bundle holds L alone
+    # buffer and then the factors go, so the bundle holds L alone.  The LU
+    # calls make no n x n finiteness masks: 2.03, 2.22, 1.03 and 2.03
+    # measured
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.25}, n=n)
-    _grid_sin_factor(n)
     nn = n * n * 8
     tracemalloc.start()
     try:
@@ -256,9 +290,9 @@ def test_operator_bundle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert held <= 2.1 * nn
-    assert peak <= 2.5 * nn
+    assert peak <= 2.3 * nn
     assert held_dtn <= 1.1 * nn
-    assert peak_dtn <= 2.3 * nn
+    assert peak_dtn <= 2.1 * nn
 
 
 def test_released_factors_refuse_further_solves():
@@ -278,6 +312,21 @@ def test_released_factors_refuse_further_solves():
     # the DtN matrix and the reassembled S stay available
     assert ops.dtn_matrix is ops.dtn_matrix
     assert ops.single_layer_matrix().shape == (64, 64)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_single_layer_is_a_solver_error(monkeypatch, bad):
+    # the LU calls skip scipy's finiteness check, which would allocate an
+    # n x n bool array; a non-finite S still fails through the rcond guard,
+    # as a SolverError and not scipy's ValueError
+    def poisoned(curve):
+        S, kp = assemble_operators(curve)
+        S[3, 5] = bad
+        return S, kp
+
+    monkeypatch.setattr(bem, "assemble_operators", poisoned)
+    with pytest.raises(SolverError, match="rcond"):
+        BoundaryOperators(Curve.ellipse(1.3, 0.7, n=64))
 
 
 def test_dtn_symmetric_in_arclength_product():

@@ -76,3 +76,28 @@ def test_compare_outputs_lists_the_largest_change_per_report_field(
     assert rel_change == pytest.approx(2e-14, rel=1e-2)
     assert changes["hessian.pairs[].fd"] == (1e-15, 5e-16)
     assert changes["hessian.directions[]"] is None
+
+
+def test_compare_outputs_flow_starts_read_outcomes(scripts_path, tmp_path):
+    # the sweep runs flow on the seeded flow_descent start of each seed and
+    # compares exit code, reason, iterations and stderr
+    compare = importlib.import_module("compare_outputs")
+    job_list = compare.flow_start_jobs(tmp_path / "configs", 2)
+    assert [name for name, _ in job_list] == ["start0", "start1"]
+    for _, (command, config) in job_list:
+        assert command == "flow"
+        assert "[flow]" in pathlib.Path(config).read_text()
+    run = tmp_path / "old"
+    (run / "start0").mkdir(parents=True)
+    (run / "start0" / "report.json").write_text(json.dumps(
+        {"flow": {"reason": "gradient", "iterations": 6}}))
+    (run / "start1").mkdir()
+    for name, code, err in (("start0", 0, ""),
+                            ("start1", 3, "numerical failure: collapsed\n")):
+        (run / f"{name}.exit").write_text(f"{code}\n")
+        (run / f"{name}.stderr").write_text(err)
+    assert compare.flow_outcome(run, "start0") == {
+        "exit": "0", "reason": "gradient", "iterations": 6, "stderr": ""}
+    assert compare.flow_outcome(run, "start1") == {
+        "exit": "3", "reason": None, "iterations": None,
+        "stderr": "numerical failure: collapsed\n"}

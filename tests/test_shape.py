@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadshape.bem import BoundaryOperators, _grid_sin_factor
+from quadshape.bem import BoundaryOperators
 from quadshape.geometry import Curve, GeometryError, MetricParams, NormalField
 from quadshape.potential import (Disk, SourceTerm, eval_potential,
                                  source_quadrature)
@@ -517,10 +517,8 @@ def test_spectrum_state_peak_memory_at_n1024_is_bounded(centered_source):
     # holds the LU factors and K', the DtN solve turns K''s buffer into L
     # and releases the factors, and each spectrum then works in one copy of
     # L.  Holding the factors and K' next to L and the eigen buffer peaked
-    # at 4.07 n x n arrays; 2.14 measured.  The per-n sin factor is cached
-    # first so that its one array does not count
+    # at 4.07 n x n arrays; 2.07 measured from a cold cache
     n = 1024
-    _grid_sin_factor(n)
     c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
     tracemalloc.start()
     try:
@@ -530,7 +528,7 @@ def test_spectrum_state_peak_memory_at_n1024_is_bounded(centered_source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * n * n * 8
+    assert peak <= 2.2 * n * n * 8
 
 
 def _full_spectrum(matrix, weights):
