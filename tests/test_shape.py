@@ -366,25 +366,72 @@ def test_direct_equals_flow_plus_connection_off_criticality(
 
 
 def test_hessian_report_uses_the_single_routes(ellipse_state):
-    # the report's flow and fd columns are the public routes, value for value
+    # the report's flow and fd columns are the public routes, value for
+    # value; an off-diagonal fd is the bilinear identity over the diagonals
     modes = ["const", "cos2", "sin3"]
     A, t_step = 2.0, 1e-3
     rep = hessian_report(ellipse_state, modes, A=A, t_step=t_step)
     fields = [NormalField.from_mode(m, 128) for m in modes]
+    diag = [fd_second_derivative(ellipse_state, f.values, t_step=t_step).value
+            for f in fields]
     for pair in rep["pairs"]:
-        a, b = fields[pair["i"]], fields[pair["j"]]
+        i, j = pair["i"], pair["j"]
+        a, b = fields[i], fields[j]
         assert pair["flow"] == flow_hessian_form(ellipse_state, a, b, A,
                                                  t_step)
-        if pair["i"] == pair["j"]:
-            assert pair["fd"] == fd_second_derivative(
-                ellipse_state, a.values, t_step=t_step).value
+        if i == j:
+            assert pair["fd"] == diag[i]
+        else:
+            both = fd_second_derivative(ellipse_state, a.values + b.values,
+                                        t_step=t_step).value
+            assert pair["fd"] == 0.5 * (both - (diag[i] + diag[j]))
+
+
+def test_hessian_report_fd_is_independent_of_direction_order(ellipse_state):
+    # every unordered pair, diagonals included, gets the same fd bits
+    modes = ["const", "cos1", "cos2", "sin3"]
+
+    def fd_by_pair(rep):
+        return {tuple(sorted(p["pair"].split("*"))): p["fd"].hex()
+                for p in rep["pairs"]}
+
+    fwd = fd_by_pair(hessian_report(ellipse_state, modes))
+    rev = fd_by_pair(hessian_report(ellipse_state, modes[::-1]))
+    assert len(fwd) == 10
+    assert fwd == rev
+
+
+@pytest.mark.parametrize("which, modes", [
+    ("ellipse_state", ["const", "cos1", "cos2", "sin3"]),
+    ("critical_state", ["const", "cos1", "cos2", "cos3",
+                        "sin1", "sin2", "sin3"]),
+])
+def test_hessian_report_off_diagonal_fd_matches_the_direct_form(
+        request, which, modes):
+    # the off-diagonal fd against half the assembled form, scaled by the
+    # pair's diagonals; worst measured: 4.0e-10 on the 1.2 x 0.8 ellipse,
+    # whose off-diagonal fd reach 4.1, so a wrong coefficient fails by O(1),
+    # and 1.95e-9 on the critical disk at n = 256
+    state = request.getfixturevalue(which)
+    rep = hessian_report(state, modes)
+    diag = {p["i"]: p["fd"] for p in rep["pairs"] if p["i"] == p["j"]}
+    fields = [NormalField.from_mode(m, state.curve.n) for m in modes]
+    for p in rep["pairs"]:
+        i, j = p["i"], p["j"]
+        if i == j:
+            continue
+        half = 0.5 * direct_hessian_form(state, fields[i].values,
+                                         fields[j].values)
+        scale = max(abs(diag[i]), abs(diag[j]), 1.0)
+        assert abs(p["fd"] - half) <= 1e-8 * scale, p["pair"]
 
 
 def test_hessian_report_solves_each_stencil_once(centered_source,
                                                 monkeypatch):
     # one four-point stencil per direction serves its fd diagonal and its
-    # flow route, and two more per off-diagonal pair the polarized fd:
-    # 4 d + 8 d (d - 1) / 2 solves for d directions
+    # flow route, and one more along a + b per off-diagonal pair the
+    # bilinear fd: 4 d + 4 d (d - 1) / 2 = 2 d (d + 1) solves for d
+    # directions
     import quadshape.shape as shape
     state = solve_state(Curve.circle(1.0, n=64), centered_source, 1.0)
     calls = []
@@ -396,7 +443,7 @@ def test_hessian_report_solves_each_stencil_once(centered_source,
     monkeypatch.setattr(shape, "solve_state", counting)
     hessian_report(state, ["const", "cos1", "cos2", "sin3"])
     d = 4
-    assert len(calls) == 4 * d + 8 * d * (d - 1) // 2 == 64
+    assert len(calls) == 2 * d * (d + 1) == 40
 
 
 def test_hessian_report_peak_memory_is_bounded(centered_source):
