@@ -6,7 +6,9 @@ Each iteration solves the regularized Newton system
     mu = max(0, -lambda0(G^-1/2 H G^-1/2)) + k^2 / 2,
 
 on the assembled direct Hessian H of the state (``shape.direct_hessian``;
-lambda0 is its lowest eigenvalue relative to the metric weight), and flows
+lambda0 is its lowest eigenvalue relative to the metric weight).  lambda0
+is computed only when a Cholesky test finds W H (W = diag(w)) not positive
+definite; otherwise lambda0 > 0 and mu = k^2 / 2.  The iteration flows
 the curve by -step * x.  H + mu G is positive definite in the arclength
 product, so x is a descent direction whatever the curvature of J.  The line
 search starts every iteration at the unit Newton step and backtracks under
@@ -140,17 +142,24 @@ def newton_direction(state, params):
 
     The system is posed in the arclength product: W H is symmetric and
     W G diagonal positive (W = diag(w)), and mu shifts the lowest
-    eigenvalue of the pencil (W H, W G), that of G^-1 H from the shared
-    weighted spectrum solve, up to k^2 / 2, so W (H + mu G) is positive
-    definite and its Cholesky factor exists.
+    eigenvalue lambda0 of the pencil (W H, W G) up to k^2 / 2, so
+    W (H + mu G) is positive definite and its Cholesky factor exists.  A
+    Cholesky factorization of W H tests the sign first: when it succeeds,
+    lambda0 > 0 and mu = k^2 / 2.  Only when it fails is lambda0, that of
+    G^-1 H, taken from the shared weighted spectrum solve.
     """
     w = state.curve.weights
     g = metric_weight(state.curve, params)
     wg = w * g
     H = direct_hessian(state)
-    lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
-    mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     wh = w[:, None] * H
+    try:
+        # positive definite W H: every eigenvalue of the pencil is positive
+        scipy.linalg.cho_factor(wh, check_finite=False)
+        mu = 0.5 * state.k**2
+    except scipy.linalg.LinAlgError:
+        lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
+        mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     wh[np.diag_indices_from(wh)] += mu * wg
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
 
@@ -259,7 +268,7 @@ def trace_rows(result):
 
 
 def write_trace(result, path):
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
         for row in trace_rows(result):
             fh.write(row + "\n")

@@ -2,14 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadshape import flow
 from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
                             FlowConfig, circle_deviation, convergence_report,
                             descend, fit_circle, newton_direction, trace_rows)
-from quadshape.geometry import Curve, GeometryError, MetricParams, flow_curve
+from quadshape.geometry import (Curve, GeometryError, MetricParams, flow_curve,
+                                metric_weight)
 from quadshape.potential import Disk, SourceTerm, clearance_margin
-from quadshape.shape import direct_hessian, solve_state
+from quadshape.shape import _spectrum_in_place, direct_hessian, solve_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -171,10 +173,67 @@ def test_newton_direction_solves_the_shifted_system(centered_source):
     assert np.sum(state.psi * x * state.curve.weights) > 0.0
 
 
+def count_eigen_solves(monkeypatch):
+    calls = []
+
+    def counted(buf, weights, count):
+        calls.append(count)
+        return _spectrum_in_place(buf, weights, count)
+
+    monkeypatch.setattr(flow, "_spectrum_in_place", counted)
+    return calls
+
+
+def shifted_solve(state, params, mu):
+    # the Newton system W (H + mu G) x = W psi, assembled in the order
+    # newton_direction uses, so the solution compares bit for bit
+    w = state.curve.weights
+    wh = w[:, None] * direct_hessian(state)
+    wh[np.diag_indices_from(wh)] += mu * (w * metric_weight(state.curve,
+                                                              params))
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
+
+
+def test_newton_direction_skips_the_eigen_solve_when_positive_definite(
+        ellipse_state, unit_params, monkeypatch):
+    # criterion 8's ellipse has a positive definite W H: the Cholesky test
+    # passes, mu is k^2 / 2 and no eigenvalue is computed
+    calls = count_eigen_solves(monkeypatch)
+    x = newton_direction(ellipse_state, unit_params)
+    assert calls == []
+    expected = shifted_solve(ellipse_state, unit_params,
+                             0.5 * ellipse_state.k**2)
+    assert np.array_equal(x, expected)
+
+
+def test_newton_direction_shifts_an_indefinite_hessian(centered_source,
+                                                       unit_params,
+                                                       monkeypatch):
+    # a diagonal shift H - c G keeps W H symmetric and moves every pencil
+    # eigenvalue down by c, below zero for c above lambda0: the Cholesky
+    # test fails and one eigen-solve sets mu = -lambda0 + k^2 / 2
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=128), centered_source, 1.0)
+    g = metric_weight(state.curve, unit_params)
+    wg = state.curve.weights * g
+    H = direct_hessian(state)
+    lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
+    assert lam0 > 0.0
+    state._H = H - (lam0 + 1.0) * np.diag(g)
+    calls = count_eigen_solves(monkeypatch)
+    x = newton_direction(state, unit_params)
+    assert calls == [1]
+    lam0 = _spectrum_in_place(state._H / g[:, None], wg, 1)[0]
+    assert lam0 < 0.0
+    mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
+    assert mu >= 0.5 * state.k**2
+    assert np.array_equal(x, shifted_solve(state, unit_params, mu))
+
+
 def test_newton_direction_memory_is_bounded(centered_source):
-    # with H built, the shift's eigen-solve consumes one scaled copy of H,
-    # and then W (H + mu G) and cho_factor's copy of it are alive: about
-    # two n x n arrays
+    # with H built, W H and the Cholesky test's copy of it are alive (the
+    # eigen-solve of an indefinite H consumes one scaled copy of H in
+    # its place), then W (H + mu G) and cho_factor's copy of it: about two
+    # n x n arrays, 2.14 measured on criterion 8's ellipse
     n = 256
     state = solve_state(Curve.ellipse(1.2, 0.8, n=n), centered_source, 1.0)
     params = MetricParams(A=1.0, k=1.0)
@@ -191,10 +250,11 @@ def test_newton_direction_memory_is_bounded(centered_source):
 def test_flow_step_memory_at_n1024_is_bounded(centered_source):
     # one Newton step on criterion 8's ellipse at n = 1024: the accepted
     # state holds L and H (its bundle released the LU factors and K' when
-    # L was built), and both the Newton solve (W (H + mu G) and
-    # cho_factor's copy of it) and the trial state's bundle (S, factored
-    # in its own buffer, K' and block-sized assembly buffers) add about two
-    # n x n arrays, 4.15 measured from a cold cache
+    # L was built), and both the Newton solve (W H with the copy of its
+    # positive definiteness test, then W (H + mu G) with cho_factor's copy
+    # of it) and the trial state's bundle (S, factored in its own buffer,
+    # K' and block-sized assembly buffers) add about two n x n arrays, 4.15
+    # measured from a cold cache
     n = 1024
     curve = Curve.ellipse(1.2, 0.8, n=n)
     params = MetricParams(A=1.0, k=1.0)

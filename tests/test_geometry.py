@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -391,3 +393,28 @@ def test_curve_csv_round_trip():
                                 c.weights])
     assert np.array_equal(data, expected)
 
+
+def per_row_curve_csv(curve):
+    # reference serializer: every value through format(v, ".17g"), row by row
+    cols = (curve.theta, curve.points[:, 0], curve.points[:, 1],
+            curve.normal[:, 0], curve.normal[:, 1], curve.kappa, curve.weights)
+    rows = [",".join(format(v, ".17g") for v in row) for row in zip(*cols)]
+    return "theta,x,y,nx,ny,kappa,w\n" + "".join(r + "\n" for r in rows)
+
+
+def test_curve_csv_matches_the_per_row_formatter():
+    curves = [Curve.circle(1.0, n=16), Curve.ellipse(1.2, 0.8, n=128),
+              Curve.from_radial(1.0, cos={2: 0.15}, sin={5: 0.05}, n=1024)]
+    # non-finite values and signed zeros in the normal and curvature columns
+    c = Curve.ellipse(2.0, 1.0, n=32)
+    kappa = c.kappa.copy()
+    kappa[:5] = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    normal = c.normal.copy()
+    normal[0] = [-0.0, 0.0]
+    curves.append(SimpleNamespace(n=c.n, theta=c.theta, points=c.points,
+                                  normal=normal, kappa=kappa,
+                                  weights=c.weights))
+    for curve in curves:
+        assert curve_to_csv(curve) == per_row_curve_csv(curve)
+    assert ",nan," in curve_to_csv(curves[-1])
+    assert ",-0," in curve_to_csv(curves[-1])
