@@ -8,7 +8,8 @@ Each iteration solves the regularized Newton system
 on the assembled direct Hessian H of the state (``shape.direct_hessian``;
 lambda0 is its lowest eigenvalue relative to the metric weight).  lambda0
 is computed only when a Cholesky test finds W H (W = diag(w)) not positive
-definite; otherwise lambda0 > 0 and mu = k^2 / 2.  The iteration flows
+definite, by the shared weighted spectrum solve above a Weyl floor;
+otherwise lambda0 > 0 and mu = k^2 / 2.  The iteration flows
 the curve by -step * x.  H + mu G is positive definite in the arclength
 product, so x is a descent direction whatever the curvature of J.  The line
 search starts every iteration at the unit Newton step and backtracks under
@@ -33,7 +34,8 @@ from .bem import SolverError
 from .geometry import (Curve, GeometryError, flow_curve, metric_norm,
                        metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
-from .shape import _spectrum_in_place, direct_hessian, evaluate_J, solve_state
+from .shape import (_spectrum_in_place, direct_hessian, evaluate_J,
+                    pointwise_density, solve_state)
 
 
 # Line-search and resampling constants.  Each line search starts at the
@@ -146,7 +148,16 @@ def newton_direction(state, params):
     W (H + mu G) is positive definite and its Cholesky factor exists.  A
     Cholesky factorization of W H tests the sign first: when it succeeds,
     lambda0 > 0 and mu = k^2 / 2.  Only when it fails is lambda0, that of
-    G^-1 H, taken from the shared weighted spectrum solve.
+    G^-1 H, taken from the shared weighted spectrum solve
+    (``shape._spectrum_in_place``) with the Weyl floor
+    min(d / g) - k^2 / 2.  H is diag(d), d = dpsi/dnu + kappa psi the
+    ``pointwise_density``, plus 2 U L U, which is positive semidefinite in
+    the arclength product, so
+    lambda0 >= min(d / g); the k^2 / 2 below it absorbs rounding.  From
+    n = 1024 the solve is block shift-invert Lanczos above that floor;
+    below that size, if the floor fails its Cholesky test, or if Lanczos
+    does not converge within its basis (the lowest eigenvalues of a
+    kinked iterate can cluster), it is the dense subset solve.
     """
     w = state.curve.weights
     g = metric_weight(state.curve, params)
@@ -158,7 +169,8 @@ def newton_direction(state, params):
         scipy.linalg.cho_factor(wh, check_finite=False)
         mu = 0.5 * state.k**2
     except scipy.linalg.LinAlgError:
-        lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
+        floor = float(np.min(pointwise_density(state) / g)) - 0.5 * state.k**2
+        lam0 = _spectrum_in_place(H / g[:, None], wg, 1, floor)[0]
         mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     wh[np.diag_indices_from(wh)] += mu * wg
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)

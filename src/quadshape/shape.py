@@ -230,6 +230,14 @@ def psi_normal_derivative(state, method="interior"):
     return -dg
 
 
+def pointwise_density(state, dpsi_method="interior"):
+    """Pointwise part dpsi/dnu + kappa psi of the direct Hessian, with
+    dpsi/dnu from ``psi_normal_derivative(state, dpsi_method)``: the
+    diagonal that ``direct_hessian`` adds to 2 U L U."""
+    return (psi_normal_derivative(state, dpsi_method)
+            + state.curve.kappa * state.psi)
+
+
 def direct_hessian(state):
     """Assembled direct Hessian operator of the raw boundary form.
 
@@ -260,8 +268,7 @@ def direct_hessian(state):
         H /= w[:, None]
         H += U2L
         H *= 0.5
-        dpsi = psi_normal_derivative(state, "interior")
-        H[np.diag_indices_from(H)] += dpsi + state.curve.kappa * state.psi
+        H[np.diag_indices_from(H)] += pointwise_density(state)
         state._H = H
     return state._H
 
@@ -286,14 +293,13 @@ def direct_hessian_form(state, a, b=None):
 def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
     """The pointwise density of the direct form, without the state term.
 
-    sum (dpsi/dnu + kappa psi) a b w with dpsi/dnu from
-    ``psi_normal_derivative(state, dpsi_method)``.  On the critical disk
-    this reduces to +/- 2 k^2 sum(kappa a b w) depending on the method.
+    sum (dpsi/dnu + kappa psi) a b w, the ``pointwise_density`` for
+    ``dpsi_method``.  On the critical disk this reduces to
+    +/- 2 k^2 sum(kappa a b w) depending on the method.
     """
     av = _values(a, state.curve.n)
     bv = av if b is None else _values(b, state.curve.n)
-    dpsi = psi_normal_derivative(state, dpsi_method)
-    return float(np.sum((dpsi + state.curve.kappa * state.psi) * av * bv
+    return float(np.sum(pointwise_density(state, dpsi_method) * av * bv
                         * state.curve.weights))
 
 
@@ -433,21 +439,43 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
 
 _SYM_BLOCK = 128
 
+# Sizes and constants of the Lanczos route of ``_spectrum_in_place``.
+# Measured with BLAS on one thread on the DtN matrix of a two-disk radial
+# curve, dense subset solve against Lanczos: 16 eigenvalues take 11 against
+# 32 ms at n = 512 and 88 against 64 ms at n = 1024; 32 eigenvalues at
+# n = 1024 take 91 against 104 ms, and at n = 2048 dense is faster from 128
+# eigenvalues on.  So Lanczos runs from n = _LANCZOS_MIN_N with at least
+# _LANCZOS_N_PER_COUNT nodes per eigenvalue.  Its basis holds at most
+# n / _KRYLOV_CAP_RATIO vectors (0.125 n x n; 16 eigenvalues at n = 1024
+# take 74 to 84), and a Ritz value theta is accepted when its residual
+# bound is at most _LANCZOS_TOL theta.
+_LANCZOS_MIN_N = 1024
+_LANCZOS_N_PER_COUNT = 64
+_LANCZOS_BLOCK = 2
+_KRYLOV_CAP_RATIO = 8
+_LANCZOS_TOL = 1e-12
 
-def symmetric_spectrum(matrix, weights, count):
+
+def symmetric_spectrum(matrix, weights, count, floor=None):
     """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
     the weighted inner product sum(a b w).
 
-    Only those eigenvalues are computed, by one LAPACK subset solve
-    (``dsyevr``) without eigenvectors; ``count`` is capped at the matrix
-    order.  The function makes one n x n buffer, a copy of ``matrix`` that
-    the solve then works in, and never writes to ``matrix``.
+    ``count`` is capped at the matrix order.  The function makes one n x n
+    buffer, a copy of ``matrix`` that the solve then works in, and never
+    writes to ``matrix``.  ``floor`` is an optional number below the lowest
+    eigenvalue, such as a Weyl bound (``cli.cmd_spectrum`` passes -1 for
+    the DtN matrix).  With it, n >= 1024 and at most n / 64 eigenvalues,
+    block shift-invert Lanczos above the floor gives the values.  Without
+    it, for smaller problems, where the floor fails its Cholesky test, or
+    where Lanczos does not converge within its basis, one LAPACK subset
+    solve (``dsyevr``) without eigenvectors does (see
+    ``_spectrum_in_place``).
     """
     return _spectrum_in_place(np.array(matrix, dtype=float, order="C"),
-                              weights, count)
+                              weights, count, floor)
 
 
-def _spectrum_in_place(buf, weights, count):
+def _spectrum_in_place(buf, weights, count, floor=None):
     """``symmetric_spectrum`` of the C-contiguous float matrix ``buf``,
     which it overwrites.
 
@@ -456,6 +484,16 @@ def _spectrum_in_place(buf, weights, count):
     addition is commutative, so the result is bit for bit 0.5 (sym + sym.T)
     and exactly symmetric.  Its transpose is then the same matrix in Fortran
     order, which LAPACK takes and overwrites without another copy.
+
+    The route is chosen by size.  With a ``floor``, n >= _LANCZOS_MIN_N and
+    count <= n / _LANCZOS_N_PER_COUNT, ``_lanczos_lowest`` factors the
+    matrix minus ``floor`` and returns floor + 1 / theta from the largest
+    Ritz values theta of its inverse.  Otherwise, or when the Cholesky
+    factorization refutes the floor or the Krylov basis fills up before
+    the residual bounds are met, one dense subset solve (``dsyevr``) reads
+    the lower triangle of the Fortran-order matrix, which the Lanczos
+    route leaves untouched.  So a wrong floor or a slow run costs time
+    and gives the dense values bit for bit.
     """
     s = np.sqrt(weights)
     n = len(weights)
@@ -470,9 +508,73 @@ def _spectrum_in_place(buf, weights, count):
             upper *= 0.5
             buf[rows, cols] = upper
             buf[cols, rows] = upper.T
+    if (floor is not None and n >= _LANCZOS_MIN_N
+            and _LANCZOS_N_PER_COUNT * count <= n):
+        vals = _lanczos_lowest(buf.T, count, floor)
+        if vals is not None:
+            return vals
     return scipy.linalg.eigh(buf.T, eigvals_only=True, overwrite_a=True,
                              check_finite=False,
                              subset_by_index=[0, count - 1], driver="evr")
+
+
+def _lanczos_lowest(a, count, floor):
+    """Lowest ``count`` eigenvalues of the symmetric Fortran-order matrix
+    ``a`` by block shift-invert Lanczos, or None when ``floor`` is not
+    below the spectrum or the run does not converge.
+
+    ``dpotrf`` factors a - floor I = U^T U in the upper triangle of ``a``;
+    its failure refutes the floor.  Otherwise block Lanczos with full
+    reorthogonalization (two Gram-Schmidt passes) runs on
+    (a - floor I)^-1, applied by ``dpotrs`` (two triangular solves).  The
+    block has two vectors, so the two-dimensional eigenspaces of the
+    double eigenvalues of rotationally symmetric shapes, such as the
+    critical disk, are in reach without help from rounding.  The start
+    block is fixed and pseudo-random, with a component along every
+    eigenvector; the constant vector would not do, as on a circle it is an
+    eigenvector itself.  The run stops when each of the ``count`` largest
+    Ritz values theta has the residual bound |B y_last| <= _LANCZOS_TOL
+    theta, so an eigenvalue of the inverse lies within that relative
+    distance of it, and returns floor + 1 / theta ascending.  If the
+    basis fills its n / _KRYLOV_CAP_RATIO vectors first, as on a flow
+    iterate whose lowest eigenvalues cluster, or if the floor is refuted,
+    the diagonal is restored, so the lower triangle holds the matrix again
+    for the dense solve.
+    """
+    n = a.shape[0]
+    p = _LANCZOS_BLOCK
+    diag = np.diag_indices(n)
+    saved = a[diag]
+    a[diag] -= floor
+    _, info = scipy.linalg.lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
+        a[diag] = saved
+        return None
+    cap = n // _KRYLOV_CAP_RATIO
+    V = np.empty((n, cap), order="F")
+    T = np.zeros((cap, cap))
+    start = np.random.default_rng(0).standard_normal((n, p))
+    V[:, :p] = np.linalg.qr(start)[0]
+    for j in range(0, cap - p, p):
+        blk, nxt = slice(j, j + p), slice(j + p, j + 2 * p)
+        x = scipy.linalg.lapack.dpotrs(a, V[:, blk], lower=0)[0]
+        basis = V[:, :j + p]
+        h = basis.T @ x
+        x -= basis @ h
+        h2 = basis.T @ x
+        x -= basis @ h2
+        d = h[blk] + h2[blk]
+        T[blk, blk] = 0.5 * (d + d.T)
+        V[:, nxt], r = np.linalg.qr(x)
+        if j + p >= count:
+            theta, y = np.linalg.eigh(T[:j + p, :j + p])
+            bound = np.linalg.norm(r @ y[blk, -count:], axis=0)
+            if np.all(bound <= _LANCZOS_TOL * theta[-count:]):
+                return floor + 1.0 / theta[:-count - 1:-1]
+        T[nxt, blk] = r
+        T[blk, nxt] = r.T
+    a[diag] = saved
+    return None
 
 
 def stability_controls(state, count):
@@ -485,8 +587,11 @@ def stability_controls(state, count):
     spectrum matches the arbiter on the critical disk, in every mode (the
     curvature terms differ in sign).  Eigenproblems are posed in the
     arclength inner product, and only the lowest ``count`` eigenvalues of
-    each are computed (``symmetric_spectrum``).  Returns the report's
-    ``stability`` block as a dict.
+    each are computed (``symmetric_spectrum``): by block shift-invert
+    Lanczos above the Weyl floor k^2 (min(-+kappa) - 1) at large n and
+    small ``count``, by the dense subset solve otherwise, or if the floor
+    fails its Cholesky test or Lanczos does not converge.  Returns the
+    report's ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
     kap = curve.kappa
@@ -498,11 +603,14 @@ def stability_controls(state, count):
     spectra = []
     for sign in (-1.0, 1.0):
         # k^2 (L -+ diag(kappa)) in one copy of L, which the solve consumes;
-        # the copy is dropped before the next one is made
+        # the copy is dropped before the next one is made.  L is positive
+        # semidefinite up to rounding, so Weyl's bound puts the spectrum
+        # above k^2 min(-+kappa); one unit below it is the Lanczos floor
         shifted = L.copy()
         shifted[np.diag_indices_from(shifted)] += sign * kap
         shifted *= k**2
-        spectra.append(_spectrum_in_place(shifted, w, count))
+        floor = k**2 * (float(np.min(sign * kap)) - 1.0)
+        spectra.append(_spectrum_in_place(shifted, w, count, floor))
         del shifted
     vals_m, vals_p = spectra
 

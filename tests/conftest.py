@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadshape.geometry import Curve, MetricParams
 from quadshape.potential import Disk, SourceTerm
@@ -43,3 +44,18 @@ def ellipse_state(centered_source):
 @pytest.fixture(scope="session")
 def unit_params():
     return MetricParams(A=1.0, k=1.0)
+
+
+@pytest.fixture
+def dense_solve_orders(monkeypatch):
+    """Orders of the matrices given to the dense ``scipy.linalg.eigh``
+    during the test, in call order."""
+    orders = []
+    eigh = scipy.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return orders

@@ -343,6 +343,30 @@ def test_spectrum_command(tmp_path):
     assert report["lambda0_plus"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_spectrum_at_n1024_makes_no_dense_eigen_solve(tmp_path,
+                                                      dense_solve_orders):
+    # the spectrum benchmark's geometry, two disks in a radial curve at
+    # n = 1024: all three spectra take block Lanczos above their Weyl
+    # floors, and the report stays byte-identical across runs
+    cfg = "\n".join([
+        "[geometry]", "kind = radial", "base_radius = 1.0", "n = 1024",
+        "cos2 = 0.03", "cos3 = -0.02", "sin4 = 0.03",
+        "[source]", "x = 0.25", "y = 0.05", "rho = 0.08",
+        "mass = 3.141592653589793",
+        "[source]", "x = -0.2", "y = -0.1", "rho = 0.08",
+        "mass = 3.141592653589793", ""])
+    texts = []
+    for _ in range(2):
+        code, out = run_cli(tmp_path, cfg, "spectrum")
+        assert code == 0
+        texts.append((out / "report.json").read_bytes())
+    assert dense_solve_orders == []
+    assert texts[0] == texts[1]
+    report = json.loads(texts[0])
+    assert abs(report["dtn_eigenvalues"][0]) <= 1e-8
+    assert len(report["stability_plus"]) == 16
+
+
 SMALL_RADIAL_CFG = """
 [geometry]
 kind = radial

@@ -11,7 +11,8 @@ from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
 from quadshape.geometry import (Curve, GeometryError, MetricParams, flow_curve,
                                 metric_weight)
 from quadshape.potential import Disk, SourceTerm, clearance_margin
-from quadshape.shape import _spectrum_in_place, direct_hessian, solve_state
+from quadshape.shape import (_spectrum_in_place, direct_hessian,
+                             psi_normal_derivative, solve_state)
 
 TWO_PI = 2.0 * np.pi
 
@@ -176,9 +177,9 @@ def test_newton_direction_solves_the_shifted_system(centered_source):
 def count_eigen_solves(monkeypatch):
     calls = []
 
-    def counted(buf, weights, count):
+    def counted(buf, weights, count, floor=None):
         calls.append(count)
-        return _spectrum_in_place(buf, weights, count)
+        return _spectrum_in_place(buf, weights, count, floor)
 
     monkeypatch.setattr(flow, "_spectrum_in_place", counted)
     return calls
@@ -227,6 +228,36 @@ def test_newton_direction_shifts_an_indefinite_hessian(centered_source,
     mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     assert mu >= 0.5 * state.k**2
     assert np.array_equal(x, shifted_solve(state, unit_params, mu))
+
+
+def test_newton_shift_at_n1024_comes_from_lanczos_above_the_weyl_floor(
+        monkeypatch, dense_solve_orders):
+    # a three-lobed curve around an off-centre disk at k = 2 has an
+    # indefinite W H.  At n = 1024 its shift comes from block Lanczos above
+    # min(d / g) - k^2 / 2, d = dpsi/dnu + kappa psi the pointwise part of
+    # H: the only dense eigen-solve is the arbiter's
+    n, k = 1024, 2.0
+    state = solve_state(Curve.from_radial(1.0, cos={3: 0.3}, n=n),
+                        SourceTerm((Disk(0.3, 0.0, 0.1, 2 * np.pi),)), k)
+    params = MetricParams(A=1.0, k=k)
+    g = metric_weight(state.curve, params)
+    H = direct_hessian(state)
+    lam0 = _spectrum_in_place(H / g[:, None], state.curve.weights * g, 1)[0]
+    assert lam0 < 0.0
+    d = psi_normal_derivative(state) + state.curve.kappa * state.psi
+    floors = []
+
+    def recorded(buf, weights, count, floor=None):
+        floors.append(floor)
+        return _spectrum_in_place(buf, weights, count, floor)
+
+    monkeypatch.setattr(flow, "_spectrum_in_place", recorded)
+    x = newton_direction(state, params)
+    assert floors == [pytest.approx(np.min(d / g) - 0.5 * k**2, rel=1e-15)]
+    assert floors[0] < lam0
+    assert dense_solve_orders == [n]
+    expected = shifted_solve(state, params, -lam0 + 0.5 * k**2)
+    assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_newton_direction_memory_is_bounded(centered_source):

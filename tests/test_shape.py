@@ -586,20 +586,17 @@ def _full_spectrum(matrix, weights):
     return np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
 
-def test_subset_spectrum_matches_full_eigh():
-    # two disks in a perturbed radial curve, as in the spectrum benchmark
-    c = Curve.from_radial(1.0, cos={2: 0.03, 3: -0.02, 5: 0.01},
-                          sin={2: -0.01, 4: 0.03, 6: -0.02}, n=256)
-    src = SourceTerm((Disk(0.25, 0.05, 0.08, np.pi),
-                      Disk(-0.2, -0.1, 0.08, np.pi)))
-    state = solve_state(c, src, 1.0)
-    L, w, kap = state.ops.dtn_matrix, c.weights, c.kappa
-    count = 16
-    rep = stability_controls(state, count)   # k = 1
-    cases = [(L, symmetric_spectrum(L, w, count))]
-    for mat, key in ((L - np.diag(kap), "eigenvalues_minus"),
-                     (L + np.diag(kap), "eigenvalues_plus")):
-        vals = symmetric_spectrum(mat, w, count)
+def check_spectra_against_full_eigh(state, count):
+    """The DtN spectrum with floor -1 and both stability spectra, which
+    pass their Weyl floors, against ``_full_spectrum`` (k = 1)."""
+    L, w, kap = state.ops.dtn_matrix, state.curve.weights, state.curve.kappa
+    rep = stability_controls(state, count)
+    cases = [(L, symmetric_spectrum(L, w, count, floor=-1.0))]
+    for mat, key, floor in ((L - np.diag(kap), "eigenvalues_minus",
+                             float(np.min(-kap)) - 1.0),
+                            (L + np.diag(kap), "eigenvalues_plus",
+                             float(np.min(kap)) - 1.0)):
+        vals = symmetric_spectrum(mat, w, count, floor=floor)
         # the report's eigenvalues are those of the same matrix, bit for bit
         assert np.array_equal(vals, rep[key])
         cases.append((mat, vals))
@@ -608,3 +605,74 @@ def test_subset_spectrum_matches_full_eigh():
         scale = float(np.max(np.abs(ref_vals)))
         assert len(vals) == count
         assert np.max(np.abs(vals - ref_vals[:count])) <= 1e-12 * scale
+    return cases
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_subset_spectrum_matches_full_eigh(n, dense_solve_orders):
+    # two disks in a perturbed radial curve, as in the spectrum benchmark;
+    # n = 256 takes the dense subset solve, n = 1024 block Lanczos
+    c = Curve.from_radial(1.0, cos={2: 0.03, 3: -0.02, 5: 0.01},
+                          sin={2: -0.01, 4: 0.03, 6: -0.02}, n=n)
+    src = SourceTerm((Disk(0.25, 0.05, 0.08, np.pi),
+                      Disk(-0.2, -0.1, 0.08, np.pi)))
+    state = solve_state(c, src, 1.0)
+    check_spectra_against_full_eigh(state, 16)
+    assert dense_solve_orders == ([] if n == 1024 else [n] * 5)
+
+
+@pytest.fixture(scope="module")
+def critical_state_1024(centered_source):
+    return solve_state(Curve.circle(1.0, n=1024), centered_source, 1.0)
+
+
+def test_lanczos_spectrum_finds_both_copies_on_the_critical_disk(
+        critical_state_1024, dense_solve_orders):
+    # on the circle every eigenvalue after the first is double (cos m and
+    # sin m): L gives 0, 1, 1, 2, 2, ..., and a missed copy would shift
+    # every later value by one place
+    (_, dtn), _, (_, plus) = check_spectra_against_full_eigh(
+        critical_state_1024, 16)
+    assert dense_solve_orders == []
+    assert np.allclose(dtn, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8],
+                       atol=1e-8)
+    assert np.allclose(plus, [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9],
+                       atol=1e-8)
+
+
+def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
+        critical_state_1024, dense_solve_orders):
+    # L has eigenvalue 0, so the Cholesky test of L - floor fails for both
+    # floors: the solve restores the diagonal and the dense subset solve
+    # gives the values bit for bit
+    L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
+    dense = symmetric_spectrum(L, w, 16)
+    for floor in (0.5, 1e3):
+        assert np.array_equal(symmetric_spectrum(L, w, 16, floor=floor), dense)
+    assert dense_solve_orders == [1024] * 3
+
+
+def test_lanczos_that_fills_its_basis_falls_back_to_dense(
+        critical_state_1024, monkeypatch, dense_solve_orders):
+    # no residual bound meets a zero tolerance, so the basis fills up; the
+    # solve then restores the diagonal and gives the dense values bit for
+    # bit from the triangle the factorization left untouched
+    import quadshape.shape as shape
+    L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
+    dense = symmetric_spectrum(L, w, 16)
+    monkeypatch.setattr(shape, "_LANCZOS_TOL", 0.0)
+    assert np.array_equal(symmetric_spectrum(L, w, 16, floor=-1.0), dense)
+    assert dense_solve_orders == [1024] * 2
+
+
+@pytest.mark.parametrize("n, count", [(512, 8), (1024, 32)])
+def test_dense_route_below_the_lanczos_sizes(n, count, dense_solve_orders):
+    # below n = 1024, or above n / 64 eigenvalues, the dense solve is the
+    # faster one and runs whatever the floor
+    c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
+    # 1 + kappa > 0 here, so the floor 0 is below the spectrum
+    mat, w = np.eye(n) + np.diag(c.kappa), c.weights
+    vals = symmetric_spectrum(mat, w, count, floor=0.0)
+    assert dense_solve_orders == [n]
+    assert np.allclose(vals, np.sort(1.0 + c.kappa)[:count], rtol=0.0,
+                       atol=1e-13)
