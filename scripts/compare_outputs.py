@@ -5,8 +5,9 @@ lists every output file, stdout, stderr or exit code that differs:
 
 - every command on ``scripts/*.cfg`` and on the ``*_CFG`` configs of
   ``tests/test_cli.py`` (read as literals, not imported), with
-  ``--dump-operators`` on ``evaluate`` so the operator matrices are
-  compared too;
+  ``--dump-operators`` on ``evaluate``, ``diagnose`` and ``spectrum``, so
+  the operator matrices are compared too, also after the spectra have
+  read L;
 - each operation of every ``perfbench/workloads.py`` workload, warm-ups
   included, on the configs it generates for each seed.
 
@@ -44,6 +45,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMANDS = ("evaluate", "gradient", "hessian", "flow", "diagnose", "spectrum")
+DUMP_COMMANDS = ("evaluate", "diagnose", "spectrum")
 
 
 def _cli_test_configs():
@@ -81,7 +83,8 @@ def jobs(config_dir, seeds):
     out = []
     for stem, path in configs.items():
         for command in COMMANDS:
-            extra = ["--dump-operators"] if command == "evaluate" else []
+            extra = (["--dump-operators"] if command in DUMP_COMMANDS
+                     else [])
             out.append((f"{stem}-{command}", [command, str(path), *extra]))
 
     workloads = _load_workloads()

@@ -259,7 +259,9 @@ class BoundaryOperators:
         transpose is the Fortran-order right-hand side the solve overwrites,
         and L ends up in K''s buffer.  Nothing reads the LU factors or K'
         after this, so they are released: ``solve_dirichlet`` and
-        ``neumann_trace`` raise ``RuntimeError`` from then on.
+        ``neumann_trace`` raise ``RuntimeError`` from then on.  L is
+        returned read-only: a solve that works in its input, such as
+        ``shape.symmetric_spectrum``, takes a copy.
         """
         if self._dtn is None:
             rhs = self._neumann_jump.T
@@ -268,6 +270,7 @@ class BoundaryOperators:
                                         overwrite_b=True,
                                         check_finite=False).T
             dtn *= self.scale
+            dtn.setflags(write=False)
             self._dtn = dtn
             self._lu = self._neumann_jump = None
         return self._dtn

@@ -14,16 +14,6 @@ after which ``curve.csv``, ``state.csv`` and, with ``--dump-operators``,
 its report body and prints its own summary line; ``main`` writes
 ``report.json`` as the command name, the config echo and that body.
 
-``spectrum`` reports the lowest ``max_eigs`` eigenvalues of the DtN map L
-and of k^2 (L -+ kappa), and ``diagnose`` those of k^2 (L -+ kappa), from
-``shape.symmetric_spectrum``.  Each solve gets a Weyl floor below its
-spectrum: -1 for L, which is positive semidefinite up to rounding, and
-k^2 (min(-+kappa) - 1) for the shifted operators.  From n = 1024, with
-at most n / 64 eigenvalues, block shift-invert Lanczos above the floor
-gives them; smaller problems, a floor that fails its Cholesky test and a
-Lanczos run that does not converge within its basis take the dense
-subset solve.
-
 Exit codes: 0 on success, 2 for configuration or geometry validation
 errors, 3 for numerical failures (singular systems, collapsed line search,
 curves degenerating mid-run).
@@ -300,8 +290,8 @@ def cmd_diagnose(run, state, args):
 def cmd_spectrum(run, state, args):
     count = run.output.max_eigs
     # L is positive semidefinite up to rounding: -1 is a Weyl floor
-    dtn_vals = symmetric_spectrum(state.ops.dtn_matrix, state.curve.weights,
-                                  count, floor=-1.0)
+    dtn_vals = symmetric_spectrum(state.ops.dtn_matrix.copy(),
+                                  state.curve.weights, count, floor=-1.0)
     stab = stability_controls(state, count)
     if not args.quiet:
         head = ", ".join(f"{v:.6g}" for v in dtn_vals[:6])

@@ -24,7 +24,6 @@ constants are fixed at module level.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,8 @@ from .bem import SolverError
 from .geometry import (Curve, GeometryError, flow_curve, metric_norm,
                        metric_weight, resample_by_arclength)
 from .riemannian import riemannian_gradient
-from .shape import (_spectrum_in_place, direct_hessian, evaluate_J,
-                    pointwise_density, solve_state)
+from .shape import (direct_hessian, evaluate_J, pointwise_density,
+                    solve_state, symmetric_spectrum)
 
 
 # Line-search and resampling constants.  Each line search starts at the
@@ -92,8 +91,8 @@ REJECTION_REASONS = ("geometry", "solver", "armijo")
 @dataclass
 class FlowResult:
     """Outcome of ``descend``.  ``rejected`` counts the rejected line-search
-    trials by reason (keys ``REJECTION_REASONS``); like ``elapsed`` it stays
-    out of the deterministic report and trace."""
+    trials by reason (keys ``REJECTION_REASONS``); it stays out of the
+    deterministic report and trace."""
 
     curve: Curve
     records: list
@@ -101,7 +100,6 @@ class FlowResult:
     iterations: int
     resamples: int
     rejected: dict
-    elapsed: float
 
     @property
     def grad_drop(self):
@@ -148,11 +146,10 @@ def newton_direction(state, params):
     W (H + mu G) is positive definite and its Cholesky factor exists.  A
     Cholesky factorization of W H tests the sign first: when it succeeds,
     lambda0 > 0 and mu = k^2 / 2.  Only when it fails is lambda0, that of
-    G^-1 H, taken from the shared weighted spectrum solve
-    (``shape._spectrum_in_place``) with the Weyl floor
-    min(d / g) - k^2 / 2.  H is diag(d), d = dpsi/dnu + kappa psi the
-    ``pointwise_density``, plus 2 U L U, which is positive semidefinite in
-    the arclength product, so
+    G^-1 H, taken from ``shape.symmetric_spectrum`` in the array
+    G^-1 H, which it consumes, above the Weyl floor min(d / g) - k^2 / 2.
+    H is diag(d), d = dpsi/dnu + kappa psi the ``pointwise_density``, plus
+    2 U L U, which is positive semidefinite in the arclength product, so
     lambda0 >= min(d / g); the k^2 / 2 below it absorbs rounding.  From
     n = 1024 the solve is block shift-invert Lanczos above that floor;
     below that size, if the floor fails its Cholesky test, or if Lanczos
@@ -170,7 +167,7 @@ def newton_direction(state, params):
         mu = 0.5 * state.k**2
     except scipy.linalg.LinAlgError:
         floor = float(np.min(pointwise_density(state) / g)) - 0.5 * state.k**2
-        lam0 = _spectrum_in_place(H / g[:, None], wg, 1, floor)[0]
+        lam0 = symmetric_spectrum(H / g[:, None], wg, 1, floor)[0]
         mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     wh[np.diag_indices_from(wh)] += mu * wg
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
@@ -192,7 +189,6 @@ def descend(curve, source, params, config=None, callback=None):
     """
     if config is None:
         config = FlowConfig()
-    t_start = time.perf_counter()
     state = solve_state(curve, source, params.k)
     records = []
     resamples = 0
@@ -207,7 +203,6 @@ def descend(curve, source, params, config=None, callback=None):
         callback(records[-1], state.curve)
     tol = max(GRAD_TOL, config.grad_tol_rel * records[0].grad_norm)
 
-    accepted = 0
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
     for it in range(1, config.max_iters + 1):
         if records[-1].grad_norm <= tol:
@@ -241,8 +236,7 @@ def descend(curve, source, params, config=None, callback=None):
         # once a resample below replaces state, these names would keep the
         # replaced state's operators alive through the next line search
         trial_state = cand = None
-        accepted += 1
-        if accepted % RESAMPLE_EVERY == 0:
+        if it % RESAMPLE_EVERY == 0:
             try:
                 state = solve_state(resample_by_arclength(state.curve),
                                     source, params.k)
@@ -262,7 +256,6 @@ def descend(curve, source, params, config=None, callback=None):
         iterations=records[-1].iteration,
         resamples=resamples,
         rejected=rejected,
-        elapsed=time.perf_counter() - t_start,
     )
 
 

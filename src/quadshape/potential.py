@@ -106,7 +106,7 @@ def eval_potential_gradient(source, x):
         diff = x - d.center
         r2 = np.sum(diff * diff, axis=-1)
         pref = d.mass / TWO_PI
-        denom = np.where(r2 >= d.rho**2, np.maximum(r2, d.rho**2 * 1e-300), d.rho**2)
+        denom = np.where(r2 >= d.rho**2, r2, d.rho**2)
         out += -pref * diff / denom[..., None]
     return out
 

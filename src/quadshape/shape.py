@@ -135,7 +135,7 @@ def hadamard_derivative(state, direction):
 def _stencil(state, direction, t_step=None, source_velocity=None):
     """Solve the curves flowed by +t, -t, +t/2 and -t/2 along ``direction``.
 
-    Returns ``(t, retries, [J at each], [(psi, weights) at +t and -t])``;
+    Returns ``(t, retries, [J at each], ((psi, weights) at +t and -t))``;
     no solved state is kept, since each one's operator bundle holds two
     n x n matrices.  t defaults to 1e-3 diam.  If a flowed curve
     self-intersects or violates source clearance, t shrinks by 4, up to 5
@@ -156,7 +156,7 @@ def _stencil(state, direction, t_step=None, source_velocity=None):
         try:
             out = [solved(t) for t in (t_step, -t_step,
                                        0.5 * t_step, -0.5 * t_step)]
-            return t_step, retries, [j for j, _ in out], [out[0][1], out[1][1]]
+            return t_step, retries, [j for j, _ in out], (out[0][1], out[1][1])
         except GeometryError:
             retries += 1
             if retries > 5:
@@ -254,7 +254,8 @@ def direct_hessian(state):
     to rounding (W = diag(w)).  Like J, raw-form quantities are twice the
     finite-difference ones: sum(a H a w) / 2 is J'' along the flow by a.
     Assembled once per state (one dense n x n matrix) and memoized on it,
-    so it is freed with the state.
+    so it is freed with the state; it is read-only, since every later
+    reader of the state sees the same array.
     """
     if state._H is None:
         w = state.curve.weights
@@ -269,6 +270,7 @@ def direct_hessian(state):
         H += U2L
         H *= 0.5
         H[np.diag_indices_from(H)] += pointwise_density(state)
+        H.setflags(write=False)
         state._H = H
     return state._H
 
@@ -303,10 +305,10 @@ def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
                         * state.curve.weights))
 
 
-def _flow_hessian(state, stencil, a, b, params):
+def _flow_hessian(state, second, a, b, params):
     """Flow-route Hessian form of the fields a, b from the +-t states of
-    ``stencil = _stencil(state, a, t_step)``, at its own step."""
-    t, _, _, ((psi_p, w_p), (psi_m, w_m)) = stencil
+    ``second = fd_second_derivative(state, a, t_step)``, at its own step."""
+    t, ((psi_p, w_p), (psi_m, w_m)) = second.step, second.flowed
     beta = b.values
     # hadamard_derivative on each flowed state
     first = (float(np.sum(psi_p * beta * w_p))
@@ -318,56 +320,52 @@ def _flow_hessian(state, stencil, a, b, params):
 def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
     """Hessian form as derivative of the gradient along a flow.
 
-    Central-differences t -> hadamard_derivative on the curves of
-    ``_stencil`` flowed by a (the weight field b rides along node-to-node)
-    and subtracts the gradient against the covariant derivative nabla_a b,
-    so the result is the metric Hessian form evaluated through the
-    connection.
+    Central-differences t -> hadamard_derivative on the +-t curves of
+    ``fd_second_derivative`` along a (the weight field b rides along
+    node-to-node) and subtracts the gradient against the covariant
+    derivative nabla_a b, so the result is the metric Hessian form
+    evaluated through the connection.
     """
     n = state.curve.n
     af = _as_field(a, n)
     bf = _as_field(b, n)
     params = MetricParams(A=A, k=state.k)
-    return _flow_hessian(state, _stencil(state, af, t_step), af, bf, params)
+    return _flow_hessian(state, fd_second_derivative(state, af, t_step),
+                         af, bf, params)
 
 
 @dataclass(frozen=True)
 class SecondDifference:
-    """Result of the finite-difference second derivative of J."""
+    """Result of the finite-difference second derivative of J.  ``flowed``
+    holds (psi, weights) of the curves flowed by +step and -step."""
 
     value: float
-    coarse: float
-    fine: float
     richardson_delta: float
     step: float
     retries: int
-
-
-def _second_difference(state, stencil):
-    """``SecondDifference`` of J from ``stencil`` and the state's own J."""
-    t, retries, (jp, jm, jph, jmh), _ = stencil
-    j0 = evaluate_J(state)
-    half = 0.5 * t
-    coarse = (jp - 2.0 * j0 + jm) / t**2
-    fine = (jph - 2.0 * j0 + jmh) / half**2
-    value = (4.0 * fine - coarse) / 3.0
-    return SecondDifference(value, coarse, fine, abs(value - fine),
-                            t, retries)
+    flowed: tuple
 
 
 def fd_second_derivative(state, direction, t_step=None, source_velocity=None):
     """Richardson-extrapolated second difference of J along a normal flow.
 
     Five-point stencil (``_stencil``): central second differences at steps
-    t and t/2 are combined to fourth order; their gap is reported as a
-    convergence indicator.  If a flowed curve self-intersects or violates
-    source clearance the step shrinks by 4, up to 5 times.
-    ``source_velocity`` translates the source with the flow, which makes J
-    exactly invariant along rigid translations (direction <e, nu> with
-    velocity e).  The centre value is the state's own (memoized) J.
+    t and t/2 are combined to fourth order; the gap between the result and
+    the t/2 difference is reported as a convergence indicator.  If a flowed
+    curve self-intersects or violates source clearance the step shrinks by
+    4, up to 5 times.  ``source_velocity`` translates the source with the
+    flow, which makes J exactly invariant along rigid translations
+    (direction <e, nu> with velocity e).  The centre value is the state's
+    own (memoized) J.  It is the only second difference of J: the flow
+    route reads its +-t states.
     """
-    return _second_difference(
-        state, _stencil(state, direction, t_step, source_velocity))
+    t, retries, (jp, jm, jph, jmh), flowed = _stencil(
+        state, direction, t_step, source_velocity)
+    j0 = evaluate_J(state)
+    coarse = (jp - 2.0 * j0 + jm) / t**2
+    fine = (jph - 2.0 * j0 + jmh) / (0.5 * t)**2
+    value = (4.0 * fine - coarse) / 3.0
+    return SecondDifference(value, abs(value - fine), t, retries, flowed)
 
 
 # -- aggregated reports ----------------------------------------------------
@@ -381,7 +379,7 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     """Evaluate every Hessian route on all direction pairs.
 
     ``directions`` is a list of mode labels ('const', 'cos2', ...).  One
-    ``_stencil`` per direction serves both its diagonal finite difference
+    ``fd_second_derivative`` per direction serves both its diagonal value
     Q(a) and the flow route of every pair.  An off-diagonal pair's finite
     difference is the bilinear identity
     B(a, b) = (Q(a + b) - (Q(a) + Q(b))) / 2, which reuses the diagonal
@@ -395,11 +393,11 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
     k = state.k
     fields = [NormalField.from_mode(d, state.curve.n) for d in directions]
     params = MetricParams(A=A, k=k)
-    stencils = [_stencil(state, f, t_step) for f in fields]
-    q = [_second_difference(state, s).value for s in stencils]
+    seconds = [fd_second_derivative(state, f, t_step) for f in fields]
+    q = [s.value for s in seconds]
 
     def flow_value(i, j):
-        return _flow_hessian(state, stencils[i], fields[i], fields[j], params)
+        return _flow_hessian(state, seconds[i], fields[i], fields[j], params)
 
     pairs = []
     asym = 0.0
@@ -439,7 +437,7 @@ def hessian_report(state, directions, A=1.0, t_step=1e-3):
 
 _SYM_BLOCK = 128
 
-# Sizes and constants of the Lanczos route of ``_spectrum_in_place``.
+# Sizes and constants of the Lanczos route of ``symmetric_spectrum``.
 # Measured with BLAS on one thread on the DtN matrix of a two-disk radial
 # curve, dense subset solve against Lanczos: 16 eigenvalues take 11 against
 # 32 ms at n = 512 and 88 against 64 ms at n = 1024; 32 eigenvalues at
@@ -456,45 +454,37 @@ _KRYLOV_CAP_RATIO = 8
 _LANCZOS_TOL = 1e-12
 
 
-def symmetric_spectrum(matrix, weights, count, floor=None):
+def symmetric_spectrum(buf, weights, count, floor=None):
     """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
-    the weighted inner product sum(a b w).
+    the weighted inner product sum(a b w), worked out in and overwriting
+    the array ``buf`` that holds it.
 
-    ``count`` is capped at the matrix order.  The function makes one n x n
-    buffer, a copy of ``matrix`` that the solve then works in, and never
-    writes to ``matrix``.  ``floor`` is an optional number below the lowest
-    eigenvalue, such as a Weyl bound (``cli.cmd_spectrum`` passes -1 for
-    the DtN matrix).  With it, n >= 1024 and at most n / 64 eigenvalues,
-    block shift-invert Lanczos above the floor gives the values.  Without
-    it, for smaller problems, where the floor fails its Cholesky test, or
-    where Lanczos does not converge within its basis, one LAPACK subset
-    solve (``dsyevr``) without eigenvectors does (see
-    ``_spectrum_in_place``).
-    """
-    return _spectrum_in_place(np.array(matrix, dtype=float, order="C"),
-                              weights, count, floor)
-
-
-def _spectrum_in_place(buf, weights, count, floor=None):
-    """``symmetric_spectrum`` of the C-contiguous float matrix ``buf``,
-    which it overwrites.
-
-    The similarity transform diag(sqrt w) buf diag(1/sqrt w) and the
+    ``count`` is capped at the matrix order.  ``buf`` must be a writeable,
+    C-ordered float64 array, whose transpose LAPACK overwrites in place;
+    any other, such as the read-only ``dtn_matrix`` of a state, raises
+    ``ValueError``, so callers that keep the matrix pass a copy.  The
+    similarity transform diag(sqrt w) buf diag(1/sqrt w) and the
     symmetrization 0.5 (a_ij + a_ji) are done in ``buf`` by blocks; IEEE
     addition is commutative, so the result is bit for bit 0.5 (sym + sym.T)
     and exactly symmetric.  Its transpose is then the same matrix in Fortran
     order, which LAPACK takes and overwrites without another copy.
 
-    The route is chosen by size.  With a ``floor``, n >= _LANCZOS_MIN_N and
-    count <= n / _LANCZOS_N_PER_COUNT, ``_lanczos_lowest`` factors the
-    matrix minus ``floor`` and returns floor + 1 / theta from the largest
-    Ritz values theta of its inverse.  Otherwise, or when the Cholesky
-    factorization refutes the floor or the Krylov basis fills up before
-    the residual bounds are met, one dense subset solve (``dsyevr``) reads
-    the lower triangle of the Fortran-order matrix, which the Lanczos
-    route leaves untouched.  So a wrong floor or a slow run costs time
-    and gives the dense values bit for bit.
+    ``floor`` is an optional number below the lowest eigenvalue, such as a
+    Weyl bound (``cli.cmd_spectrum`` passes -1 for the DtN matrix).  With
+    it, n >= _LANCZOS_MIN_N and count <= n / _LANCZOS_N_PER_COUNT,
+    ``_lanczos_lowest`` factors the matrix minus ``floor`` and returns
+    floor + 1 / theta from the largest Ritz values theta of its inverse.
+    Otherwise, or when the Cholesky factorization refutes the floor or the
+    Krylov basis fills up before the residual bounds are met, one LAPACK
+    subset solve (``dsyevr``) without eigenvectors reads the lower triangle
+    of the Fortran-order matrix, which the Lanczos route leaves untouched.
+    So a wrong floor or a slow run costs time and gives the dense values
+    bit for bit.
     """
+    if (buf.dtype != np.float64 or not buf.flags.c_contiguous
+            or not buf.flags.writeable):
+        raise ValueError("symmetric_spectrum works in a writeable C-ordered "
+                         "float64 array")
     s = np.sqrt(weights)
     n = len(weights)
     count = min(count, n)
@@ -610,7 +600,7 @@ def stability_controls(state, count):
         shifted[np.diag_indices_from(shifted)] += sign * kap
         shifted *= k**2
         floor = k**2 * (float(np.min(sign * kap)) - 1.0)
-        spectra.append(_spectrum_in_place(shifted, w, count, floor))
+        spectra.append(symmetric_spectrum(shifted, w, count, floor))
         del shifted
     vals_m, vals_p = spectra
 

@@ -16,6 +16,7 @@ from quadshape.flow import TRACE_HEADER
 from quadshape.geometry import Curve
 from quadshape.reports import (curves_svg, format_float, solver_dict, to_json,
                                write_csv)
+from quadshape.shape import solve_state
 
 CRITICAL_CFG = """
 [geometry]
@@ -341,6 +342,31 @@ def test_spectrum_command(tmp_path):
     assert dtn[2] == pytest.approx(1.0, abs=1e-8)
     assert report["stability_minus"][0] == pytest.approx(-1.0, abs=1e-6)
     assert report["lambda0_plus"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_spectrum_solves_every_spectrum_through_one_route(tmp_path,
+                                                         monkeypatch):
+    # L, k^2 (L - kappa) and k^2 (L + kappa) all go through
+    # shape.symmetric_spectrum, each in its own buffer, so the dumped L is
+    # the state's L untouched by the three solves
+    import quadshape.cli as cli
+    import quadshape.shape as shape
+    calls = []
+    spectrum = shape.symmetric_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    for module in (shape, cli):
+        monkeypatch.setattr(module, "symmetric_spectrum", counting)
+    code, out = run_cli(tmp_path, ELLIPSE_CFG, "spectrum", "--dump-operators")
+    assert code == 0
+    assert len(calls) == 3
+    run = load_config(tmp_path / "run.cfg")
+    fresh = solve_state(run.build_curve(), run.source, run.params.k)
+    dumped = np.loadtxt(out / "dtn.csv", delimiter=",")
+    assert np.array_equal(dumped, fresh.ops.dtn_matrix)
 
 
 def test_spectrum_at_n1024_makes_no_dense_eigen_solve(tmp_path,

@@ -11,8 +11,8 @@ from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
 from quadshape.geometry import (Curve, GeometryError, MetricParams, flow_curve,
                                 metric_weight)
 from quadshape.potential import Disk, SourceTerm, clearance_margin
-from quadshape.shape import (_spectrum_in_place, direct_hessian,
-                             psi_normal_derivative, solve_state)
+from quadshape.shape import (direct_hessian, psi_normal_derivative,
+                             solve_state, symmetric_spectrum)
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,9 +179,9 @@ def count_eigen_solves(monkeypatch):
 
     def counted(buf, weights, count, floor=None):
         calls.append(count)
-        return _spectrum_in_place(buf, weights, count, floor)
+        return symmetric_spectrum(buf, weights, count, floor)
 
-    monkeypatch.setattr(flow, "_spectrum_in_place", counted)
+    monkeypatch.setattr(flow, "symmetric_spectrum", counted)
     return calls
 
 
@@ -217,13 +217,13 @@ def test_newton_direction_shifts_an_indefinite_hessian(centered_source,
     g = metric_weight(state.curve, unit_params)
     wg = state.curve.weights * g
     H = direct_hessian(state)
-    lam0 = _spectrum_in_place(H / g[:, None], wg, 1)[0]
+    lam0 = symmetric_spectrum(H / g[:, None], wg, 1)[0]
     assert lam0 > 0.0
     state._H = H - (lam0 + 1.0) * np.diag(g)
     calls = count_eigen_solves(monkeypatch)
     x = newton_direction(state, unit_params)
     assert calls == [1]
-    lam0 = _spectrum_in_place(state._H / g[:, None], wg, 1)[0]
+    lam0 = symmetric_spectrum(state._H / g[:, None], wg, 1)[0]
     assert lam0 < 0.0
     mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     assert mu >= 0.5 * state.k**2
@@ -242,16 +242,16 @@ def test_newton_shift_at_n1024_comes_from_lanczos_above_the_weyl_floor(
     params = MetricParams(A=1.0, k=k)
     g = metric_weight(state.curve, params)
     H = direct_hessian(state)
-    lam0 = _spectrum_in_place(H / g[:, None], state.curve.weights * g, 1)[0]
+    lam0 = symmetric_spectrum(H / g[:, None], state.curve.weights * g, 1)[0]
     assert lam0 < 0.0
     d = psi_normal_derivative(state) + state.curve.kappa * state.psi
     floors = []
 
     def recorded(buf, weights, count, floor=None):
         floors.append(floor)
-        return _spectrum_in_place(buf, weights, count, floor)
+        return symmetric_spectrum(buf, weights, count, floor)
 
-    monkeypatch.setattr(flow, "_spectrum_in_place", recorded)
+    monkeypatch.setattr(flow, "symmetric_spectrum", recorded)
     x = newton_direction(state, params)
     assert floors == [pytest.approx(np.min(d / g) - 0.5 * k**2, rel=1e-15)]
     assert floors[0] < lam0

@@ -431,19 +431,27 @@ def test_hessian_report_solves_each_stencil_once(centered_source,
     # one four-point stencil per direction serves its fd diagonal and its
     # flow route, and one more along a + b per off-diagonal pair the
     # bilinear fd: 4 d + 4 d (d - 1) / 2 = 2 d (d + 1) solves for d
-    # directions
+    # directions.  Every stencil is a call of fd_second_derivative,
+    # d (d + 1) / 2 of them, so a tracer of that layer sees them all
     import quadshape.shape as shape
     state = solve_state(Curve.circle(1.0, n=64), centered_source, 1.0)
-    calls = []
+    solves, seconds = [], []
+    second = shape.fd_second_derivative
 
     def counting(*args):
-        calls.append(args)
+        solves.append(args)
         return solve_state(*args)
 
+    def counting_second(*args, **kwargs):
+        seconds.append(args)
+        return second(*args, **kwargs)
+
     monkeypatch.setattr(shape, "solve_state", counting)
+    monkeypatch.setattr(shape, "fd_second_derivative", counting_second)
     hessian_report(state, ["const", "cos1", "cos2", "sin3"])
     d = 4
-    assert len(calls) == 2 * d * (d + 1) == 40
+    assert len(solves) == 2 * d * (d + 1) == 40
+    assert len(seconds) == d * (d + 1) // 2 == 10
 
 
 def test_hessian_report_peak_memory_is_bounded(centered_source):
@@ -512,10 +520,10 @@ def test_symmetric_spectrum_ascending_and_deterministic():
     w = c.weights
     # symmetrize in the weighted product so the helper's assumption holds
     mat = (sym + (w[:, None] * sym.T) / w[None, :]) * 0.5
-    vals = symmetric_spectrum(mat, w, 16)
+    vals = symmetric_spectrum(mat.copy(), w, 16)
     assert vals.shape == (16,)
     assert np.all(np.diff(vals) > -1e-12)
-    assert np.array_equal(vals, symmetric_spectrum(mat, w, 16))
+    assert np.array_equal(vals, symmetric_spectrum(mat.copy(), w, 16))
     # count is capped at the matrix order
     assert symmetric_spectrum(mat, w, 100).shape == (64,)
 
@@ -523,22 +531,42 @@ def test_symmetric_spectrum_ascending_and_deterministic():
 @pytest.mark.parametrize("n", [64, 200, 1024])
 def test_symmetric_spectrum_matches_out_of_place_solve(n):
     # the blocked in-place symmetrization and the Fortran-order solve give
-    # the eigenvalues of the former out-of-place route bit for bit, on
-    # orders below, between and at multiples of the block
+    # the eigenvalues of the out-of-place weighted symmetrization bit for
+    # bit, on orders below, between and at multiples of the block
     rng = np.random.default_rng(n)
     mat = rng.standard_normal((n, n))
     w = rng.uniform(0.5, 2.0, n) * (TWO_PI / n)
-    mat.setflags(write=False)
-    before = mat.copy()
     count = 12
-    vals = symmetric_spectrum(mat, w, count)
+    vals = symmetric_spectrum(mat.copy(), w, count)
     s = np.sqrt(w)
     sym = (mat * s[:, None]) / s[None, :]
     ref = scipy.linalg.eigh(0.5 * (sym + sym.T), eigvals_only=True,
                             subset_by_index=[0, count - 1], driver="evr")
     assert np.array_equal(vals, ref)
-    # the caller's matrix is never written (cmd_spectrum passes dtn_matrix)
-    assert np.array_equal(mat, before)
+
+
+def test_state_matrices_are_read_only(centered_source):
+    # L and the memoized H are read by every later route on the state
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=64), centered_source, 1.0)
+    assert not state.ops.dtn_matrix.flags.writeable
+    assert not direct_hessian(state).flags.writeable
+
+
+def test_symmetric_spectrum_refuses_a_matrix_it_cannot_consume(
+        centered_source):
+    # the solve works in its input: a state's own L raises instead of being
+    # overwritten, and so does an array in another layout
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=64), centered_source, 1.0)
+    L, w = state.ops.dtn_matrix, state.curve.weights
+    before = L.tobytes()
+    with pytest.raises(ValueError):
+        symmetric_spectrum(L, w, 4)
+    assert L.tobytes() == before
+    for other in (np.asfortranarray(L), L.astype(np.float32)):
+        with pytest.raises(ValueError):
+            symmetric_spectrum(other, w, 4)
+    assert np.array_equal(symmetric_spectrum(L.copy(), w, 4),
+                          symmetric_spectrum(np.array(L), w, 4))
 
 
 def test_stability_controls_peak_memory_is_bounded(centered_source):
@@ -570,7 +598,7 @@ def test_spectrum_state_peak_memory_at_n1024_is_bounded(centered_source):
     tracemalloc.start()
     try:
         state = solve_state(c, centered_source, 1.0)
-        symmetric_spectrum(state.ops.dtn_matrix, c.weights, 8)
+        symmetric_spectrum(state.ops.dtn_matrix.copy(), c.weights, 8)
         stability_controls(state, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -591,12 +619,12 @@ def check_spectra_against_full_eigh(state, count):
     pass their Weyl floors, against ``_full_spectrum`` (k = 1)."""
     L, w, kap = state.ops.dtn_matrix, state.curve.weights, state.curve.kappa
     rep = stability_controls(state, count)
-    cases = [(L, symmetric_spectrum(L, w, count, floor=-1.0))]
+    cases = [(L, symmetric_spectrum(L.copy(), w, count, floor=-1.0))]
     for mat, key, floor in ((L - np.diag(kap), "eigenvalues_minus",
                              float(np.min(-kap)) - 1.0),
                             (L + np.diag(kap), "eigenvalues_plus",
                              float(np.min(kap)) - 1.0)):
-        vals = symmetric_spectrum(mat, w, count, floor=floor)
+        vals = symmetric_spectrum(mat.copy(), w, count, floor=floor)
         # the report's eigenvalues are those of the same matrix, bit for bit
         assert np.array_equal(vals, rep[key])
         cases.append((mat, vals))
@@ -646,9 +674,10 @@ def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
     # floors: the solve restores the diagonal and the dense subset solve
     # gives the values bit for bit
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
-    dense = symmetric_spectrum(L, w, 16)
+    dense = symmetric_spectrum(L.copy(), w, 16)
     for floor in (0.5, 1e3):
-        assert np.array_equal(symmetric_spectrum(L, w, 16, floor=floor), dense)
+        assert np.array_equal(
+            symmetric_spectrum(L.copy(), w, 16, floor=floor), dense)
     assert dense_solve_orders == [1024] * 3
 
 
@@ -659,9 +688,10 @@ def test_lanczos_that_fills_its_basis_falls_back_to_dense(
     # bit from the triangle the factorization left untouched
     import quadshape.shape as shape
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
-    dense = symmetric_spectrum(L, w, 16)
+    dense = symmetric_spectrum(L.copy(), w, 16)
     monkeypatch.setattr(shape, "_LANCZOS_TOL", 0.0)
-    assert np.array_equal(symmetric_spectrum(L, w, 16, floor=-1.0), dense)
+    assert np.array_equal(symmetric_spectrum(L.copy(), w, 16, floor=-1.0),
+                          dense)
     assert dense_solve_orders == [1024] * 2
 
 
