@@ -15,7 +15,10 @@ Each tree runs every command once, in ``OUTDIR/old`` and ``OUTDIR/new``;
 the configs go to ``OUTDIR/configs`` and every run reads them by absolute
 path.  Under each ``report.json`` that differs, the largest absolute
 change of every numeric field path (``hessian.pairs[].steklov``) is listed,
-also relative to the field's largest magnitude in that report.  The exit
+also relative to the field's largest magnitude in that report.  Under each
+``.csv`` that differs, it says whether every cell parses to the same
+double, or else how many cells differ and the largest change of a cell.
+The exit
 status is 2 when a run could not read its config (the comparison would
 then only compare two identical error messages), else 1 when anything
 differs.
@@ -228,6 +231,48 @@ def report_changes(old_path, new_path):
         return field_changes(json.load(fo), json.load(fn))
 
 
+def _cells(path):
+    """The cells of a CSV file, row by row: a float where the cell parses
+    as one, else its text."""
+    rows = []
+    for line in path.read_text().splitlines():
+        row = []
+        for cell in line.split(","):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(cell)
+        rows.append(row)
+    return rows
+
+
+def _same_double(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def csv_changes(old_path, new_path):
+    """``(cells that differ, largest absolute change of a cell)`` between
+    two CSV files, comparing cells as doubles, so ``0.0`` and ``0`` are
+    equal and ``0`` and ``-0`` are not.  None when the row lengths or a
+    text cell differ."""
+    old, new = _cells(old_path), _cells(new_path)
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return None
+    count, change = 0, 0.0
+    for row_old, row_new in zip(old, new):
+        for a, b in zip(row_old, row_new):
+            if isinstance(a, str) or isinstance(b, str):
+                if a != b:
+                    return None
+            elif not _same_double(a, b):
+                count += 1
+                d = abs(b - a)
+                change = max(change, d if d == d else math.inf)
+    return count, change
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", help="src/ directory of the old tree")
@@ -259,6 +304,15 @@ def main(argv=None):
                 else:
                     print(f"    {path}: abs {change[0]:.2e}, "
                           f"rel {change[1]:.2e}")
+        if rel.suffix == ".csv" and old.is_file() and new.is_file():
+            cells = csv_changes(old, new)
+            if cells is None:
+                print("    cells: rows or text cells differ")
+            elif cells[0] == 0:
+                print("    cells: all equal as doubles")
+            else:
+                print(f"    cells: {cells[0]} differ, largest change "
+                      f"abs {cells[1]:.2e}")
     for side, names in unread.items():
         for name in names:
             print(f"cannot read config: {side}/{name}")

@@ -33,12 +33,12 @@ import numpy as np
 
 from .bem import SolverError
 from .config import ConfigError, load_config
-from .flow import convergence_report, descend, write_trace
+from .flow import convergence_report, descend
 from .geometry import GeometryError, NormalField, curve_to_csv, metric_norm
 from .potential import clearance_margin
 from .reports import (curve_dict, metric_params_dict, solver_dict,
                       source_dict, write_curves_svg, write_json,
-                      write_matrix_csv, write_state_csv)
+                      write_matrix_csv, write_state_csv, write_trace)
 from .riemannian import (check_metric_compatibility,
                          curvature_normal_derivative,
                          curvature_normal_derivative_fd, riemannian_gradient,

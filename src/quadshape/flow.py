@@ -259,26 +259,6 @@ def descend(curve, source, params, config=None, callback=None):
     )
 
 
-TRACE_HEADER = "iter,J,gradnorm,step,minK,maxK,circdev"
-
-
-def trace_rows(result):
-    """CSV rows (no header) for the per-iteration trace."""
-    rows = []
-    for r in result.records:
-        rows.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            r.iteration, r.J, r.grad_norm, r.step,
-            r.min_kappa, r.max_kappa, r.circle_deviation))
-    return rows
-
-
-def write_trace(result, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in trace_rows(result):
-            fh.write(row + "\n")
-
-
 def convergence_report(result):
     """Summary dict of a finished run (deterministic content only)."""
     first, last = result.records[0], result.records[-1]

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import csv_blocks
+
 TWO_PI = 2.0 * np.pi
 
 MIN_SAMPLES = 16
@@ -38,25 +40,38 @@ def _check_even(n):
         raise GeometryError(f"need an even sample count >= {MIN_SAMPLES}, got {n}")
 
 
+def _trig_table(theta, n):
+    """cos and sin of m * theta, for modes m = 0 .. n/2, as (len(theta), n/2 + 1)."""
+    phase = theta[:, None] * np.arange(n // 2 + 1)[None, :]
+    return np.cos(phase), np.sin(phase)
+
+
+def _trig_series(cos, sin, values):
+    """The interpolant of the (n,) samples ``values`` on a ``_trig_table``."""
+    n = values.shape[0]
+    coef = np.fft.rfft(values)
+    amp = np.full(n // 2 + 1, 2.0)
+    amp[0] = 1.0
+    amp[-1] = 1.0
+    return (cos @ (amp * coef.real) - sin @ (amp * coef.imag)) / n
+
+
 def trig_interpolate(values, theta):
     """Evaluate the trigonometric interpolant of real equispaced samples.
 
-    The Nyquist mode is kept as a pure cosine, which is the unique real
-    symmetric choice on an even grid.  Cost O(len(theta) * n); the grids in
-    this package are small enough that no fast transform is needed.
+    ``values`` is (n,), or (n, c) for c series on one cos/sin table, each
+    column evaluated as the (n,) column alone would be.  The Nyquist mode
+    is kept as a pure cosine, which is the unique real symmetric choice on
+    an even grid.  Cost O(len(theta) * n); the grids in this package are
+    small enough that no fast transform is needed.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     _check_even(n)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    coef = np.fft.rfft(values)
-    m = np.arange(n // 2 + 1)
-    amp = np.full(n // 2 + 1, 2.0)
-    amp[0] = 1.0
-    amp[-1] = 1.0
-    phase = theta[:, None] * m[None, :]
-    out = (np.cos(phase) @ (amp * coef.real) - np.sin(phase) @ (amp * coef.imag)) / n
-    return out
+    cos, sin = _trig_table(np.atleast_1d(np.asarray(theta, dtype=float)), n)
+    if values.ndim == 1:
+        return _trig_series(cos, sin, values)
+    return np.column_stack([_trig_series(cos, sin, col) for col in values.T])
 
 
 _INTERSECT_BLOCK = 32
@@ -197,22 +212,18 @@ class Curve:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def circle(cls, radius=1.0, n=256, center=(0.0, 0.0)):
+    def circle(cls, radius=1.0, n=256):
         if radius <= 0:
             raise GeometryError("radius must be positive")
         th = TWO_PI * np.arange(n) / n
-        pts = np.column_stack([center[0] + radius * np.cos(th),
-                               center[1] + radius * np.sin(th)])
-        return cls(pts)
+        return cls(np.column_stack([radius * np.cos(th), radius * np.sin(th)]))
 
     @classmethod
-    def ellipse(cls, a, b, n=256, center=(0.0, 0.0)):
+    def ellipse(cls, a, b, n=256):
         if a <= 0 or b <= 0:
             raise GeometryError("semi-axes must be positive")
         th = TWO_PI * np.arange(n) / n
-        pts = np.column_stack([center[0] + a * np.cos(th),
-                               center[1] + b * np.sin(th)])
-        return cls(pts)
+        return cls(np.column_stack([a * np.cos(th), b * np.sin(th)]))
 
     @classmethod
     def from_radial(cls, r0=1.0, cos=None, sin=None, n=256):
@@ -257,14 +268,9 @@ class Curve:
             raise GeometryError("scale factor must be positive")
         return Curve(self.points * factor, validate=False)
 
-    def translated(self, shift):
-        return Curve(self.points + np.asarray(shift, dtype=float), validate=False)
-
     def interpolate_points(self, theta):
         """Trigonometric interpolation of the curve at arbitrary parameters."""
-        x = trig_interpolate(self.points[:, 0], theta)
-        y = trig_interpolate(self.points[:, 1], theta)
-        return np.column_stack([x, y])
+        return trig_interpolate(self.points, theta)
 
     def __repr__(self):
         return (f"Curve(n={self.n}, area={self.area:.6g}, "
@@ -347,8 +353,13 @@ class MetricParams:
                           "is disabled", stacklevel=2)
 
 
-def _field_values(field):
-    return field.values if isinstance(field, NormalField) else np.asarray(field, dtype=float)
+def field_values(field, n):
+    """Values of a NormalField or array field, checked to be (n,)."""
+    values = (field.values if isinstance(field, NormalField)
+              else np.asarray(field, dtype=float))
+    if values.shape != (n,):
+        raise GeometryError("field must live on the curve grid")
+    return values
 
 
 def metric_weight(curve, params):
@@ -358,10 +369,8 @@ def metric_weight(curve, params):
 
 def metric_inner(curve, params, a, b):
     """Curvature-weighted inner product integral (1 + A kappa^2) a b ds."""
-    av = _field_values(a)
-    bv = _field_values(b)
-    if av.shape[0] != curve.n or bv.shape[0] != curve.n:
-        raise GeometryError("fields must live on the curve grid")
+    av = field_values(a, curve.n)
+    bv = field_values(b, curve.n)
     return float(np.sum(metric_weight(curve, params) * av * bv * curve.weights))
 
 
@@ -371,9 +380,7 @@ def metric_norm(curve, params, a):
 
 def flow_curve(curve, field, t, validate=True):
     """Move the curve by t along the normal field: c + t * alpha * nu."""
-    av = _field_values(field)
-    if av.shape[0] != curve.n:
-        raise GeometryError("field must live on the curve grid")
+    av = field_values(field, curve.n)
     return Curve(curve.points + t * av[:, None] * curve.normal, validate=validate)
 
 
@@ -398,11 +405,11 @@ def resample_by_arclength(curve):
 
     def arclen(th):
         # cumulative arclength s(theta) = sbar*theta + periodic part, s(0) = 0;
-        # the periodic part is the termwise antiderivative of speed - sbar
-        phase = th[:, None] * m[None, :]
-        anti = (np.sin(phase) @ (amp * cr) + (np.cos(phase) - 1.0) @ (amp * ci)) / n
-        deriv = trig_interpolate(curve.speed, th)
-        return sbar * th + anti, deriv
+        # the periodic part is the termwise antiderivative of speed - sbar.
+        # Its derivative, the speed, is evaluated on the same table.
+        cos, sin = _trig_table(th, n)
+        anti = (sin @ (amp * cr) + (cos - 1.0) @ (amp * ci)) / n
+        return sbar * th + anti, _trig_series(cos, sin, curve.speed)
 
     total = curve.perimeter
     targets = total * np.arange(n) / n
@@ -424,9 +431,7 @@ CURVE_CSV_HEADER = "theta,x,y,nx,ny,kappa,w"
 
 def curve_to_csv(curve):
     """Serialize the curve grid and its derived geometry to CSV text, every
-    value with 17 significant digits (one %-format call for the table)."""
+    value with 17 significant digits (``reports.csv_blocks``)."""
     table = np.column_stack((curve.theta, curve.points, curve.normal,
                              curve.kappa, curve.weights))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (CURVE_CSV_HEADER + "\n"
-            + (row * curve.n) % tuple(table.ravel().tolist()))
+    return "".join(csv_blocks(table, CURVE_CSV_HEADER))

@@ -1,11 +1,12 @@
 """Deterministic report writers.
 
 Downstream tooling diffs report files byte-for-byte between runs, so all
-serialization here is hand-rolled with fixed float formatting (%.17g keeps
-doubles round-trippable) and no timestamps, hostnames, or other
-run-dependent noise.  The JSON writer covers exactly the types the reports
-use: dict, list/tuple, str, bool, None, int, and float (including numpy
-scalars and arrays).
+serialization here is hand-rolled, with no timestamps, hostnames, or other
+run-dependent noise.  Every CSV goes through ``csv_blocks``, which writes
+each cell with %.17g (round-trippable doubles).  The JSON writer covers
+exactly the types the reports use: dict, list/tuple, str, bool, None, int,
+and float (including numpy scalars and arrays); its floats alone go
+through ``format_float``, which adds JSON's NaN and Infinity literals.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .geometry import TWO_PI
 
 
 def format_float(x):
@@ -84,14 +83,30 @@ def write_json(value, path):
         fh.write(to_json(value))
 
 
-def write_csv(path, header, columns):
-    """Write named columns of equal length with %.17g floats."""
-    cols = [np.asarray(c) for c in columns]
-    rows = len(cols[0])
+# values formatted per %-format call: the block's text, float list and
+# tuple peak at 0.12 n x n arrays when an n = 1024 matrix is written
+_CSV_BLOCK_VALUES = 1 << 14
+
+
+def csv_blocks(table, header=None):
+    """CSV text of the rows of a 2-D table, every cell with %.17g, as
+    consecutive blocks of rows, each formatted by one %-format call.  A
+    ``header`` line, if given, opens the first block."""
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    step = max(1, _CSV_BLOCK_VALUES // cols)
+    head = "" if header is None else header + "\n"
+    for i in range(0, rows, step):
+        block = table[i:i + step]
+        yield head + (line * len(block)) % tuple(block.ravel().tolist())
+        head = ""
+
+
+def write_csv(path, header, table):
+    """Write the rows of a 2-D table under a header line (None for none)."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(rows):
-            fh.write(",".join(format_float(c[i]) for c in cols) + "\n")
+        fh.writelines(csv_blocks(table, header))
 
 
 STATE_CSV_HEADER = "theta,x,y,u_nu,psi,kappa,w"
@@ -100,15 +115,22 @@ STATE_CSV_HEADER = "theta,x,y,u_nu,psi,kappa,w"
 def write_state_csv(state, path):
     c = state.curve
     write_csv(path, STATE_CSV_HEADER,
-              [c.theta, c.points[:, 0], c.points[:, 1],
-               state.u_nu, state.psi, c.kappa, c.weights])
+              np.column_stack((c.theta, c.points, state.u_nu, state.psi,
+                               c.kappa, c.weights)))
 
 
 def write_matrix_csv(matrix, path):
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        for row in matrix:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    write_csv(path, None, matrix)
+
+
+TRACE_HEADER = "iter,J,gradnorm,step,minK,maxK,circdev"
+
+
+def write_trace(result, path):
+    """The per-iteration trace of a ``flow.FlowResult``, one row per record."""
+    write_csv(path, TRACE_HEADER,
+              [(r.iteration, r.J, r.grad_norm, r.step, r.min_kappa,
+                r.max_kappa, r.circle_deviation) for r in result.records])
 
 
 def curves_svg(curves, labels=None):
@@ -116,31 +138,23 @@ def curves_svg(curves, labels=None):
     size, pad = 220, 12   # square panel per snapshot and its margin, in px
     if labels is None:
         labels = [""] * len(curves)
-    spans = []
-    for curve in curves:
-        pts = curve.points
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        spans.append((lo, hi, float(np.max(hi - lo))))
     width = size * len(curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{size + 18}" viewBox="0 0 {width} {size + 18}">',
     ]
     for idx, (curve, label) in enumerate(zip(curves, labels)):
-        lo, hi, span = spans[idx]
+        lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
+        span = float(np.max(hi - lo))
         scale = (size - 2 * pad) / span if span > 0 else 1.0
-        cx = 0.5 * (lo[0] + hi[0])
-        cy = 0.5 * (lo[1] + hi[1])
+        cx, cy = 0.5 * (lo + hi)
         x0 = idx * size + size / 2
-        coords = []
-        for px, py in curve.points:
-            sx = x0 + (px - cx) * scale
-            sy = size / 2 - (py - cy) * scale
-            coords.append("%.2f,%.2f" % (sx, sy))
-        coords.append(coords[0])
+        pts = np.vstack((curve.points, curve.points[:1]))   # closed polyline
+        xy = np.column_stack((x0 + (pts[:, 0] - cx) * scale,
+                              size / 2 - (pts[:, 1] - cy) * scale))
+        coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" '
+            f'<polyline points="{coords}" fill="none" '
             f'stroke="black" stroke-width="1.2"/>')
         if label:
             parts.append(
@@ -189,5 +203,5 @@ def curve_dict(curve):
         "min_kappa": float(np.min(curve.kappa)),
         "max_kappa": float(np.max(curve.kappa)),
         "total_curvature": float(np.sum(curve.kappa * curve.weights)),
-        "total_curvature_gap": float(np.sum(curve.kappa * curve.weights) - TWO_PI),
+        "total_curvature_gap": float(np.sum(curve.kappa * curve.weights) - 2.0 * np.pi),
     }

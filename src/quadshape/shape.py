@@ -45,20 +45,13 @@ import scipy.linalg
 
 from .bem import AccuracyWarning, BoundaryOperators
 from .geometry import (Curve, GeometryError, MetricParams, NormalField,
-                       flow_curve)
+                       field_values, flow_curve)
 from .potential import (SourceTerm, clearance_margin, eval_potential,
                         eval_potential_gradient, source_energy)
 from .riemannian import covariant_derivative
 
 
-def _values(direction, n):
-    v = direction.values if isinstance(direction, NormalField) else np.asarray(direction, dtype=float)
-    if v.shape != (n,):
-        raise GeometryError("direction must live on the curve grid")
-    return v
-
-
-def _as_field(direction, n):
+def _as_field(direction):
     if isinstance(direction, NormalField):
         return direction
     return NormalField(np.asarray(direction, dtype=float))
@@ -128,7 +121,7 @@ def hadamard_derivative(state, direction):
     Finite differences of J along the same flow consistently give half of
     it (see ``fd_first_derivative``), and the ratio is surfaced in reports.
     """
-    alpha = _values(direction, state.curve.n)
+    alpha = field_values(direction, state.curve.n)
     return float(np.sum(state.psi * alpha * state.curve.weights))
 
 
@@ -186,8 +179,8 @@ def steklov_form(state, a, b=None):
     has the opposite sign in every mode.  The discrepancy is reported side
     by side, not resolved.
     """
-    av = _values(a, state.curve.n)
-    bv = av if b is None else _values(b, state.curve.n)
+    av = field_values(a, state.curve.n)
+    bv = av if b is None else field_values(b, state.curve.n)
     w = state.curve.weights
     dtn_term = float(np.sum(av * (state.ops.dtn_matrix @ bv) * w))
     curv_term = float(np.sum(state.curve.kappa * av * bv * w))
@@ -286,8 +279,8 @@ def direct_hessian_form(state, a, b=None):
     at critical shapes.  The form carries no metric parameter: it is
     independent of A by construction.
     """
-    av = _values(a, state.curve.n)
-    bv = av if b is None else _values(b, state.curve.n)
+    av = field_values(a, state.curve.n)
+    bv = av if b is None else field_values(b, state.curve.n)
     w = state.curve.weights
     return float(np.sum(av * (direct_hessian(state) @ bv) * w))
 
@@ -299,8 +292,8 @@ def pointwise_hessian_form(state, a, b=None, dpsi_method="interior"):
     ``dpsi_method``.  On the critical disk this reduces to
     +/- 2 k^2 sum(kappa a b w) depending on the method.
     """
-    av = _values(a, state.curve.n)
-    bv = av if b is None else _values(b, state.curve.n)
+    av = field_values(a, state.curve.n)
+    bv = av if b is None else field_values(b, state.curve.n)
     return float(np.sum(pointwise_density(state, dpsi_method) * av * bv
                         * state.curve.weights))
 
@@ -326,9 +319,8 @@ def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
     derivative nabla_a b, so the result is the metric Hessian form
     evaluated through the connection.
     """
-    n = state.curve.n
-    af = _as_field(a, n)
-    bf = _as_field(b, n)
+    af = _as_field(a)
+    bf = _as_field(b)
     params = MetricParams(A=A, k=state.k)
     return _flow_hessian(state, fd_second_derivative(state, af, t_step),
                          af, bf, params)

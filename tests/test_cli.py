@@ -2,8 +2,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ import quadshape
 from quadshape.bem import BoundaryOperators, assemble_operators
 from quadshape.cli import main
 from quadshape.config import load_config
-from quadshape.flow import TRACE_HEADER
 from quadshape.geometry import Curve
-from quadshape.reports import (curves_svg, format_float, solver_dict, to_json,
-                               write_csv)
+from quadshape.reports import (_CSV_BLOCK_VALUES, TRACE_HEADER, curves_svg,
+                               format_float, solver_dict, to_json, write_csv,
+                               write_matrix_csv)
 from quadshape.shape import solve_state
 
 CRITICAL_CFG = """
@@ -136,11 +138,69 @@ def test_to_json_is_deterministic():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, "a,b", [np.array([1.0, 2.0]), np.array([0.5, -0.25])])
+    write_csv(path, "a,b", np.column_stack([[1.0, 2.0], [0.5, -0.25]]))
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
-    assert lines[1] == "1.0,0.5"
+    assert lines[1] == "1,0.5"
     assert len(lines) == 3
+
+
+def test_write_csv_matches_the_per_row_formatter(tmp_path):
+    # reference: every value through format(v, ".17g"), row by row, on a
+    # table of several formatting blocks with non-finite values and -0.0
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((3 * _CSV_BLOCK_VALUES // 7 + 5, 7))
+    table[::50] *= 1e300
+    table[1, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0]
+    table[-1, :3] = [np.nan, -0.0, 1e-300]
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c,d,e,f,g", table)
+    rows = [",".join(format(v, ".17g") for v in row) + "\n" for row in table]
+    assert path.read_text() == "a,b,c,d,e,f,g\n" + "".join(rows)
+    write_csv(path, None, table[:3])
+    assert path.read_text() == "".join(rows[:3])
+    assert "nan,inf,-inf,-0,0,2," in rows[1]
+
+
+def test_matrix_dump_streams_and_round_trips(tmp_path):
+    # n = 1024 matrix: the formatted text never lives whole in memory
+    n = 1024
+    matrix = np.random.default_rng(4).standard_normal((n, n))
+    path = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        write_matrix_csv(matrix, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * n * n * 8
+    assert np.array_equal(np.loadtxt(path, delimiter=","), matrix)
+
+
+def per_point_polylines(curves):
+    # reference: each point's panel coordinates through "%.2f,%.2f" alone,
+    # the first point repeated to close the polyline
+    size, pad = 220, 12
+    out = []
+    for idx, curve in enumerate(curves):
+        lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
+        span = float(np.max(hi - lo))
+        scale = (size - 2 * pad) / span if span > 0 else 1.0
+        cx, cy = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])
+        x0 = idx * size + size / 2
+        coords = ["%.2f,%.2f" % (x0 + (px - cx) * scale,
+                                 size / 2 - (py - cy) * scale)
+                  for px, py in curve.points]
+        out.append(" ".join(coords + coords[:1]))
+    return out
+
+
+def test_curves_svg_polylines_match_the_per_point_formatter():
+    curves = [Curve.circle(1.0, n=16), Curve.ellipse(1.2, 0.8, n=128),
+              Curve.from_radial(1.0, cos={2: 0.15}, sin={5: 0.05}, n=256),
+              Curve(Curve.circle(0.3, n=32).points + [5.0, -2.0])]
+    svg = curves_svg(curves)
+    assert re.findall(r'points="([^"]*)"', svg) == per_point_polylines(curves)
 
 
 def test_curves_svg_structure():

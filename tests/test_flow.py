@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 from quadshape import flow
-from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, TRACE_HEADER,
-                            FlowConfig, circle_deviation, convergence_report,
-                            descend, fit_circle, newton_direction, trace_rows)
+from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, FlowConfig,
+                            circle_deviation, convergence_report, descend,
+                            fit_circle, newton_direction)
 from quadshape.geometry import (Curve, GeometryError, MetricParams, flow_curve,
                                 metric_weight)
 from quadshape.potential import Disk, SourceTerm, clearance_margin
+from quadshape.reports import write_trace
 from quadshape.shape import (direct_hessian, psi_normal_derivative,
                              solve_state, symmetric_spectrum)
 
@@ -26,8 +27,9 @@ def small_flow(centered_source):
 
 
 def test_fit_circle_recovers_center_and_radius():
-    c = Curve.circle(2.0, n=64).translated((0.3, -1.1))
-    center, radius = fit_circle(c.points)
+    th = TWO_PI * np.arange(64) / 64
+    points = np.column_stack([0.3 + 2.0 * np.cos(th), -1.1 + 2.0 * np.sin(th)])
+    center, radius = fit_circle(points)
     assert np.allclose(center, [0.3, -1.1], atol=1e-12)
     assert radius == pytest.approx(2.0, abs=1e-12)
 
@@ -299,13 +301,16 @@ def test_flow_step_memory_at_n1024_is_bounded(centered_source):
     assert peak <= 4.3 * n * n * 8
 
 
-def test_trace_rows_format(small_flow):
-    rows = trace_rows(small_flow)
-    assert TRACE_HEADER == "iter,J,gradnorm,step,minK,maxK,circdev"
-    assert len(rows) == len(small_flow.records)
-    first = rows[0].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == pytest.approx(small_flow.records[0].J)
+def test_trace_csv_matches_the_per_row_formatter(small_flow, tmp_path):
+    # reference: the iteration with %d, every other field with %.17g
+    path = tmp_path / "trace.csv"
+    write_trace(small_flow, path)
+    rows = ["%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+        r.iteration, r.J, r.grad_norm, r.step, r.min_kappa, r.max_kappa,
+        r.circle_deviation) for r in small_flow.records]
+    assert path.read_text() == (
+        "iter,J,gradnorm,step,minK,maxK,circdev\n" + "".join(rows))
+    assert len(rows) == len(small_flow.records) > 1
 
 
 def test_convergence_report_contents(small_flow):

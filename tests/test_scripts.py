@@ -101,3 +101,21 @@ def test_compare_outputs_flow_starts_read_outcomes(scripts_path, tmp_path):
     assert compare.flow_outcome(run, "start1") == {
         "exit": "3", "reason": None, "iterations": None,
         "stderr": "numerical failure: collapsed\n"}
+
+
+def test_compare_outputs_compares_csv_cells_as_doubles(scripts_path, tmp_path):
+    compare = importlib.import_module("compare_outputs")
+    old = tmp_path / "old.csv"
+    new = tmp_path / "new.csv"
+    old.write_text("theta,x\n0.0,1.5\nNaN,-Infinity\n")
+    new.write_text("theta,x\n0,1.5\nnan,-inf\n")
+    assert compare.csv_changes(old, new) == (0, 0.0)
+    new.write_text("theta,x\n-0,1.5000000000000002\nnan,-inf\n")
+    count, change = compare.csv_changes(old, new)
+    assert count == 2
+    assert change == pytest.approx(2.2e-16, rel=1e-2)
+    new.write_text("theta,x\n0,1.5\nnan,1\n")
+    assert compare.csv_changes(old, new) == (1, float("inf"))
+    for text in ("theta,y\n0,1.5\nnan,-inf\n", "theta,x\n0,1.5\n"):
+        new.write_text(text)
+        assert compare.csv_changes(old, new) is None

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshape.bem import BoundaryOperators
-from quadshape.geometry import Curve, GeometryError, MetricParams, NormalField
+from quadshape.geometry import (Curve, GeometryError, MetricParams,
+                                NormalField, flow_curve, metric_inner)
 from quadshape.potential import (Disk, SourceTerm, eval_potential,
                                  source_quadrature)
 from quadshape.riemannian import covariant_derivative
@@ -53,6 +54,22 @@ def test_solve_state_rejects_bad_inputs(centered_source):
     tight = SourceTerm((Disk(0.85, 0.0, 0.1, 1.0),))
     with pytest.raises(GeometryError):
         solve_state(c, tight, 1.0)
+
+
+@pytest.mark.parametrize("use", [
+    lambda state, f: hadamard_derivative(state, f),
+    lambda state, f: steklov_form(state, f),
+    lambda state, f: direct_hessian_form(state, np.ones(state.curve.n), f),
+    lambda state, f: metric_inner(state.curve, MetricParams(), f, f),
+    lambda state, f: flow_curve(state.curve, f, 1e-3),
+], ids=["hadamard_derivative", "steklov_form", "direct_hessian_form",
+        "metric_inner", "flow_curve"])
+@pytest.mark.parametrize("field", [np.ones(127), NormalField(np.ones(129)),
+                                   np.ones((128, 1))],
+                         ids=["short", "long_field", "column"])
+def test_fields_off_the_curve_grid_raise(ellipse_state, use, field):
+    with pytest.raises(GeometryError, match="curve grid"):
+        use(ellipse_state, field)
 
 
 def test_dropped_state_frees_its_operators(centered_source):
