@@ -16,7 +16,8 @@ its report body and prints its own summary line; ``main`` writes
 
 Exit codes: 0 on success, 2 for configuration or geometry validation
 errors, 3 for numerical failures (singular systems, collapsed line search,
-curves degenerating mid-run).
+a Newton system that no shift makes positive definite, curves degenerating
+mid-run).
 
 Reports are byte-identical across reruns of the same config because the
 package root pins BLAS to one thread before numpy loads (see quadshape).
@@ -192,6 +193,13 @@ def cmd_hessian(run, state, args):
     return {"J": evaluate_J(state), "hessian": rep}
 
 
+# flow stop reasons that end the command with exit 3, and their messages
+_FLOW_FAILURES = {
+    "step_collapse": "line search collapsed",
+    "direction_failure": "no positive definite Newton system",
+}
+
+
 def cmd_flow(run, curve, args):
     snap_dir = os.path.join(args.out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -220,10 +228,10 @@ def cmd_flow(run, curve, args):
         write_curves_svg([cv for _, cv in picks],
                          [f"iter {it}" for it, _ in picks],
                          os.path.join(args.out, "flow.svg"))
-    if result.reason == "step_collapse":
+    if result.reason in _FLOW_FAILURES:
         # artifacts above stay for inspection; main maps this to exit 3
-        raise SolverError(f"line search collapsed after {result.iterations} "
-                          "iterations")
+        raise SolverError(f"{_FLOW_FAILURES[result.reason]} after "
+                          f"{result.iterations} iterations")
 
     conv = convergence_report(result)
     if not args.quiet:

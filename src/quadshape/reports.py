@@ -91,16 +91,19 @@ _CSV_BLOCK_VALUES = 1 << 14
 def csv_blocks(table, header=None):
     """CSV text of the rows of a 2-D table, every cell with %.17g, as
     consecutive blocks of rows, each formatted by one %-format call.  A
-    ``header`` line, if given, opens the first block."""
+    ``header`` line, if given, comes first, also when the table has no
+    rows (an empty sequence of rows included)."""
+    if header is not None:
+        yield header + "\n"
     table = np.asarray(table, dtype=float)
+    if len(table) == 0:
+        return
     rows, cols = table.shape
     line = ",".join(["%.17g"] * cols) + "\n"
     step = max(1, _CSV_BLOCK_VALUES // cols)
-    head = "" if header is None else header + "\n"
     for i in range(0, rows, step):
         block = table[i:i + step]
-        yield head + (line * len(block)) % tuple(block.ravel().tolist())
-        head = ""
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_csv(path, header, table):

@@ -6,9 +6,11 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import quadshape
 from quadshape.bem import BoundaryOperators, assemble_operators
@@ -17,7 +19,7 @@ from quadshape.config import load_config
 from quadshape.geometry import Curve
 from quadshape.reports import (_CSV_BLOCK_VALUES, TRACE_HEADER, curves_svg,
                                format_float, solver_dict, to_json, write_csv,
-                               write_matrix_csv)
+                               write_matrix_csv, write_trace)
 from quadshape.shape import solve_state
 
 CRITICAL_CFG = """
@@ -143,6 +145,18 @@ def test_write_csv(tmp_path):
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
     assert len(lines) == 3
+
+
+def test_write_csv_of_no_rows_keeps_the_header(tmp_path):
+    # a table with no rows, as an array or as an empty list of rows, is its
+    # header line alone; without a header it is an empty file
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b", np.empty((0, 2)))
+    assert path.read_text() == "a,b\n"
+    write_csv(path, None, np.empty((0, 2)))
+    assert path.read_text() == ""
+    write_trace(SimpleNamespace(records=[]), path)
+    assert path.read_text() == TRACE_HEADER + "\n"
 
 
 def test_write_csv_matches_the_per_row_formatter(tmp_path):
@@ -374,6 +388,25 @@ def test_collapsed_flow_exits_3_after_writing_artifacts(tmp_path, capsys):
     assert trace[0] == TRACE_HEADER
     assert (out / "curve.csv").exists()
     assert (out / "flow.svg").exists()
+    assert (out / "snapshots" / "iter0000.csv").exists()
+
+
+def test_failed_newton_direction_exits_3_after_writing_artifacts(
+        tmp_path, capsys, monkeypatch):
+    # the run stops with reason direction_failure before its first step
+    import quadshape.flow as flow
+
+    def fail(state, params):
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(flow, "newton_direction", fail)
+    code, out = run_cli(tmp_path, ELLIPSE_CFG, "flow")
+    assert code == 3
+    assert ("no positive definite Newton system after 0 iterations"
+            in capsys.readouterr().err)
+    assert not (out / "report.json").exists()
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+    assert (out / "curve.csv").exists()
     assert (out / "snapshots" / "iter0000.csv").exists()
 
 

@@ -9,7 +9,7 @@ from quadshape.flow import (MAX_BACKTRACKS, REJECTION_REASONS, FlowConfig,
                             circle_deviation, convergence_report, descend,
                             fit_circle, newton_direction)
 from quadshape.geometry import (Curve, GeometryError, MetricParams, flow_curve,
-                                metric_weight)
+                                metric_weight, resample_by_arclength)
 from quadshape.potential import Disk, SourceTerm, clearance_margin
 from quadshape.reports import write_trace
 from quadshape.shape import (direct_hessian, psi_normal_derivative,
@@ -94,13 +94,58 @@ def test_collapsed_line_search_is_reported():
     assert res.rejected["armijo"] == 0
 
 
+@pytest.mark.parametrize("rejects, resample_fails, reason, resamples", [
+    (MAX_BACKTRACKS + 1, False, "max_iters", 1),
+    (MAX_BACKTRACKS + 1, True, "step_collapse", 0),
+    (2 * (MAX_BACKTRACKS + 1), False, "step_collapse", 1),
+])
+def test_collapsed_line_search_is_redone_once_after_a_resample(
+        centered_source, monkeypatch, rejects, resample_fails, reason,
+        resamples):
+    # the first `rejects` trials are rejected, so the first line search
+    # collapses: the iterate is resampled once and its direction and line
+    # search are redone from the unit step.  The line search has collapsed
+    # only when that resample fails validation or the second line search
+    # collapses too
+    steps = []
+
+    def flow_or_reject(curve, x, t):
+        steps.append(-t)
+        if len(steps) <= rejects:
+            raise GeometryError("trial rejected")
+        return flow_curve(curve, x, t)
+
+    def resample(curve):
+        if resample_fails:
+            raise GeometryError("resampled curve self-intersects")
+        return resample_by_arclength(curve)
+
+    monkeypatch.setattr(flow, "flow_curve", flow_or_reject)
+    monkeypatch.setattr(flow, "resample_by_arclength", resample)
+    params = MetricParams(A=1.0, k=1.0)
+    res = descend(Curve.ellipse(1.2, 0.8, n=64), centered_source, params,
+                  FlowConfig(max_iters=1))
+    assert (res.reason, res.resamples) == (reason, resamples)
+    searches = 1 if resample_fails else 2
+    assert res.rejected == {"geometry": min(rejects, searches * (
+        MAX_BACKTRACKS + 1)), "solver": 0, "armijo": 0}
+    if reason == "max_iters":
+        assert res.iterations == 1
+        assert steps[MAX_BACKTRACKS + 1] == res.records[1].step == 1.0
+    else:
+        assert res.iterations == 0
+        assert len(steps) == searches * (MAX_BACKTRACKS + 1)
+
+
 def test_failed_resample_keeps_the_accepted_state(centered_source,
                                                   monkeypatch):
     def fail(curve):
         raise GeometryError("resampled curve self-intersects")
 
     monkeypatch.setattr(flow, "resample_by_arclength", fail)
-    curve = Curve.ellipse(1.1, 0.9, n=64)
+    # criterion 8's ellipse is still far above GRAD_TOL after the fifth
+    # accepted step (2.9e-6), so the run goes on from the kept state
+    curve = Curve.ellipse(1.2, 0.8, n=64)
     params = MetricParams(A=1.0, k=1.0)
     res = descend(curve, centered_source, params,
                   FlowConfig(max_iters=6, grad_tol_rel=0.0))
@@ -112,29 +157,31 @@ def test_failed_resample_keeps_the_accepted_state(centered_source,
 def test_line_search_after_a_resample_holds_one_state(centered_source):
     # after the resample at the fifth accepted step, the replaced state,
     # which holds its DtN matrix L and its shape Hessian H, is freed before
-    # the next line search: 6.56 n x n arrays measured, and kept, those two
-    # arrays would lift the peak past the bound
+    # the sixth line search (criterion 8's ellipse needs six steps to reach
+    # GRAD_TOL): 6.48 n x n arrays measured, and kept, those two arrays lift
+    # the peak to 8.67, past the bound
     n = 128
-    curve = Curve.ellipse(1.1, 0.9, n=n)
+    curve = Curve.ellipse(1.2, 0.8, n=n)
     params = MetricParams(A=1.0, k=1.0)
     tracemalloc.start()
     try:
         res = descend(curve, centered_source, params,
-                      FlowConfig(max_iters=7, grad_tol_rel=0.0))
+                      FlowConfig(max_iters=6, grad_tol_rel=0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.iterations == 7 and res.resamples == 1
+    assert res.iterations == 6 and res.resamples == 1
     assert peak <= 7 * n * n * 8
 
 
 def test_clearance_violating_trial_is_rejected_as_geometry():
-    # with k = 2 the Newton direction is about 1/2 everywhere, so the unit
-    # first trial shrinks the circle to a simple curve that pinches the
-    # off-centre disk's clearance; the halved step is accepted
+    # with k = 1.5 and mass 2 the Newton direction runs from about 0.4
+    # near the off-centre disk to 1 across from it, so the unit first trial
+    # shrinks the circle to a simple curve that pinches the disk's
+    # clearance; the halved step is accepted
     curve = Curve.circle(1.0, n=64)
-    source = SourceTerm((Disk(0.5, 0.0, 0.1, 1.0),))
-    params = MetricParams(A=1.0, k=2.0)
+    source = SourceTerm((Disk(0.5, 0.0, 0.1, 2.0),))
+    params = MetricParams(A=1.0, k=1.5)
     x = newton_direction(solve_state(curve, source, params.k), params)
     first_trial = flow_curve(curve, x, -1.0)
     assert clearance_margin(source, first_trial) < 0.0
@@ -159,20 +206,42 @@ def test_newton_descent_iterations_are_mesh_independent(centered_source, n):
     params = MetricParams(A=1.0, k=1.0)
     res = descend(curve, centered_source, params, FlowConfig())
     assert res.reason == "gradient"
-    assert res.iterations <= 20
+    assert res.iterations <= 5      # 4 measured at each n
     radii = np.hypot(res.curve.points[:, 0], res.curve.points[:, 1])
     assert np.max(np.abs(radii - 1.0)) <= 1e-3
 
 
-def test_newton_direction_solves_the_shifted_system(centered_source):
-    # (H + mu G) x = psi with mu >= k^2 / 2, and x descends: sum(psi x w) > 0
+def test_newton_descent_converges_quadratically(centered_source):
+    # near the critical circle W H is positive definite and the step is the
+    # unshifted Newton step: the metric gradient norm g obeys
+    # g[k+1] <= C g[k]^2 over the first five steps (1.77, 0.52, 0.061,
+    # 1.8e-3, 2.9e-6, 9.5e-12 measured, g[k+1] / g[k]^2 at most 1.17).  A
+    # shift mu G converges linearly instead, and that ratio grows like
+    # 1 / g[k] (124 at the fifth step with mu = k^2 / 2).  The sixth
+    # gradient is the discretization floor
+    curve = Curve.ellipse(1.2, 0.8, n=256)
+    params = MetricParams(A=1.0, k=1.0)
+    res = descend(curve, centered_source, params,
+                  FlowConfig(max_iters=5, grad_tol_rel=0.0))
+    g = np.array([r.grad_norm for r in res.records])
+    assert res.iterations == 5
+    assert np.all(g[1:] / g[:-1]**2 <= 2.0)
+    assert g[-1] < 1e-10
+
+
+def test_newton_direction_solves_the_unshifted_system(centered_source):
+    # W H is positive definite on criterion 8's ellipse, so x solves the
+    # Newton system H x = psi itself (mu = 0, residual 3.1e-15 relative
+    # measured), and x descends: sum(psi x w) > 0
     state = solve_state(Curve.ellipse(1.2, 0.8, n=64), centered_source, 1.0)
     params = MetricParams(A=1.0, k=1.0)
+    H = direct_hessian(state)
+    g = metric_weight(state.curve, params)
+    assert symmetric_spectrum(H / g[:, None], state.curve.weights * g,
+                              1)[0] > 0.0
     x = newton_direction(state, params)
-    g = 1.0 + params.A * state.curve.kappa**2
-    mu = (state.psi - direct_hessian(state) @ x) / (g * x)
-    assert np.ptp(mu) < 1e-9 * np.max(np.abs(mu))
-    assert mu[0] >= 0.5 * state.k**2
+    residual = H @ x - state.psi
+    assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(state.psi))
     assert np.sum(state.psi * x * state.curve.weights) > 0.0
 
 
@@ -188,40 +257,51 @@ def count_eigen_solves(monkeypatch):
 
 
 def shifted_solve(state, params, mu):
-    # the Newton system W (H + mu G) x = W psi, assembled in the order
-    # newton_direction uses, so the solution compares bit for bit
+    # the Newton system W (H + mu G) x = W psi, assembled and factored in
+    # the order newton_direction uses (the transpose of W H + mu W G, in
+    # Fortran order), so the solution compares bit for bit; mu = 0 adds
+    # nothing to the diagonal
     w = state.curve.weights
     wh = w[:, None] * direct_hessian(state)
-    wh[np.diag_indices_from(wh)] += mu * (w * metric_weight(state.curve,
-                                                              params))
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh), w * state.psi)
+    if mu:
+        wh[np.diag_indices_from(wh)] += mu * (w * metric_weight(state.curve,
+                                                                  params))
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(wh.T),
+                                  w * state.psi)
 
 
 def test_newton_direction_skips_the_eigen_solve_when_positive_definite(
         ellipse_state, unit_params, monkeypatch):
     # criterion 8's ellipse has a positive definite W H: the Cholesky test
-    # passes, mu is k^2 / 2 and no eigenvalue is computed
+    # passes, its factor solves the unshifted system (mu = 0) and no
+    # eigenvalue is computed
     calls = count_eigen_solves(monkeypatch)
     x = newton_direction(ellipse_state, unit_params)
     assert calls == []
-    expected = shifted_solve(ellipse_state, unit_params,
-                             0.5 * ellipse_state.k**2)
-    assert np.array_equal(x, expected)
+    assert np.array_equal(x, shifted_solve(ellipse_state, unit_params, 0.0))
+
+
+def shifted_ellipse_state(source, params, lowest):
+    # criterion 8's ellipse at n = 128 with H replaced by H - c G, which
+    # keeps W H symmetric and moves every pencil eigenvalue down by c, so
+    # that the lowest is `lowest`
+    state = solve_state(Curve.ellipse(1.2, 0.8, n=128), source, params.k)
+    g = metric_weight(state.curve, params)
+    H = direct_hessian(state)
+    lam0 = symmetric_spectrum(H / g[:, None], state.curve.weights * g, 1)[0]
+    assert lam0 > 0.0
+    state._H = H - (lam0 - lowest) * np.diag(g)
+    return state
 
 
 def test_newton_direction_shifts_an_indefinite_hessian(centered_source,
                                                        unit_params,
                                                        monkeypatch):
-    # a diagonal shift H - c G keeps W H symmetric and moves every pencil
-    # eigenvalue down by c, below zero for c above lambda0: the Cholesky
-    # test fails and one eigen-solve sets mu = -lambda0 + k^2 / 2
-    state = solve_state(Curve.ellipse(1.2, 0.8, n=128), centered_source, 1.0)
+    # with lambda0 = -1 the Cholesky test fails and one eigen-solve sets
+    # mu = -lambda0 + k^2 / 2
+    state = shifted_ellipse_state(centered_source, unit_params, -1.0)
     g = metric_weight(state.curve, unit_params)
     wg = state.curve.weights * g
-    H = direct_hessian(state)
-    lam0 = symmetric_spectrum(H / g[:, None], wg, 1)[0]
-    assert lam0 > 0.0
-    state._H = H - (lam0 + 1.0) * np.diag(g)
     calls = count_eigen_solves(monkeypatch)
     x = newton_direction(state, unit_params)
     assert calls == [1]
@@ -230,6 +310,56 @@ def test_newton_direction_shifts_an_indefinite_hessian(centered_source,
     mu = max(0.0, -float(lam0)) + 0.5 * state.k**2
     assert mu >= 0.5 * state.k**2
     assert np.array_equal(x, shifted_solve(state, unit_params, mu))
+
+
+def test_newton_direction_doubles_the_margin_over_a_misplaced_lambda0(
+        centered_source, unit_params, monkeypatch):
+    # on a kinked iterate the subset solve can misplace lambda0 by more than
+    # the k^2 / 2 margin.  Here it reads lambda0 = -1.5 as 0.5, so the shift
+    # is 0: margins 1/2 and 1 leave the shifted system indefinite, and the
+    # doubled margin 2 makes it positive definite
+    state = shifted_ellipse_state(centered_source, unit_params, -1.5)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        shifted_solve(state, unit_params, 1.0)
+
+    def misplaced(buf, weights, count, floor=None):
+        return symmetric_spectrum(buf, weights, count, floor) + 2.0
+
+    monkeypatch.setattr(flow, "symmetric_spectrum", misplaced)
+    x = newton_direction(state, unit_params)
+    assert np.array_equal(x, shifted_solve(state, unit_params, 2.0))
+
+
+def test_newton_direction_raises_when_no_margin_makes_it_definite(
+        centered_source, unit_params, monkeypatch):
+    # lambda0 = -1e4 read as 0: the largest margin, k^2 / 2 doubled
+    # MAX_SHIFT_DOUBLINGS times (512), is too small, and the failure is
+    # raised, not solved around
+    state = shifted_ellipse_state(centered_source, unit_params, -1e4)
+    monkeypatch.setattr(flow, "symmetric_spectrum",
+                        lambda buf, weights, count, floor=None: np.zeros(1))
+    assert 0.5 * 2**flow.MAX_SHIFT_DOUBLINGS < 1e4
+    with pytest.raises(scipy.linalg.LinAlgError):
+        newton_direction(state, unit_params)
+
+
+def test_failed_newton_direction_stops_the_descent(centered_source,
+                                                   monkeypatch):
+    # a Newton system that no margin makes positive definite ends the run
+    # with its own reason, after the iterates accepted so far
+    directions = []
+
+    def fail_second(state, params):
+        directions.append(state)
+        if len(directions) == 2:
+            raise scipy.linalg.LinAlgError("not positive definite")
+        return newton_direction(state, params)
+
+    monkeypatch.setattr(flow, "newton_direction", fail_second)
+    res = descend(Curve.ellipse(1.2, 0.8, n=64), centered_source,
+                  MetricParams(A=1.0, k=1.0), FlowConfig())
+    assert (res.reason, res.iterations) == ("direction_failure", 1)
+    assert len(res.records) == 2
 
 
 def test_newton_shift_at_n1024_comes_from_lanczos_above_the_weyl_floor(
@@ -263,10 +393,10 @@ def test_newton_shift_at_n1024_comes_from_lanczos_above_the_weyl_floor(
 
 
 def test_newton_direction_memory_is_bounded(centered_source):
-    # with H built, W H and the Cholesky test's copy of it are alive (the
-    # eigen-solve of an indefinite H consumes one scaled copy of H in
-    # its place), then W (H + mu G) and cho_factor's copy of it: about two
-    # n x n arrays, 2.14 measured on criterion 8's ellipse
+    # with H built, W H is the one n x n array: the Cholesky test factors
+    # it in place and its factor solves the system (an indefinite H is
+    # refilled into the same buffer for the eigen-solve and then for the
+    # shifted system), 1.13 measured on criterion 8's ellipse
     n = 256
     state = solve_state(Curve.ellipse(1.2, 0.8, n=n), centered_source, 1.0)
     params = MetricParams(A=1.0, k=1.0)
@@ -277,16 +407,15 @@ def test_newton_direction_memory_is_bounded(centered_source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * n * n * 8
+    assert peak <= 1.3 * n * n * 8
 
 
 def test_flow_step_memory_at_n1024_is_bounded(centered_source):
     # one Newton step on criterion 8's ellipse at n = 1024: the accepted
     # state holds L and H (its bundle released the LU factors and K' when
-    # L was built), and both the Newton solve (W H with the copy of its
-    # positive definiteness test, then W (H + mu G) with cho_factor's copy
-    # of it) and the trial state's bundle (S, factored in its own buffer,
-    # K' and block-sized assembly buffers) add about two n x n arrays, 4.15
+    # L was built), the Newton solve adds W H, factored in place, and the
+    # trial state's bundle (S, factored in its own buffer, K' and
+    # block-sized assembly buffers) adds about two n x n arrays, 4.09
     # measured from a cold cache
     n = 1024
     curve = Curve.ellipse(1.2, 0.8, n=n)
