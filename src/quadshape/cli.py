@@ -297,10 +297,11 @@ def cmd_diagnose(run, state, args):
 
 def cmd_spectrum(run, state, args):
     count = run.output.max_eigs
-    # L is positive semidefinite up to rounding: -1 is a Weyl floor
-    dtn_vals = symmetric_spectrum(state.ops.dtn_matrix.copy(),
-                                  state.curve.weights, count, floor=-1.0)
-    stab = stability_controls(state, count)
+    # L is positive semidefinite up to rounding: -1 is a Weyl floor.  The
+    # stability spectra reuse the weighted, symmetrized copy of L
+    buf = state.ops.dtn_matrix.copy()
+    dtn_vals = symmetric_spectrum(buf, state.curve.weights, count, floor=-1.0)
+    stab = stability_controls(state, count, buf)
     if not args.quiet:
         head = ", ".join(f"{v:.6g}" for v in dtn_vals[:6])
         print(f"leading DtN eigenvalues: {head}")

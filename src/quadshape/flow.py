@@ -164,7 +164,7 @@ def newton_direction(state, params):
     is positive semidefinite in the arclength product, so lambda0 >=
     min(d / g).  From n = 1024 the solve is block shift-invert Lanczos above
     that floor; below that size, if the floor fails its Cholesky test, or if
-    Lanczos does not converge within its basis, it is the dense subset
+    Lanczos does not converge in its restarts, it is the dense subset
     solve.  On a kinked iterate 2 U L U can fail to be positive semidefinite
     to rounding and the subset solve can misplace lambda0 by more than the
     margin; each failed factorization of the shifted system then doubles

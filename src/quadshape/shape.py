@@ -51,12 +51,6 @@ from .potential import (SourceTerm, clearance_margin, eval_potential,
 from .riemannian import covariant_derivative
 
 
-def _as_field(direction):
-    if isinstance(direction, NormalField):
-        return direction
-    return NormalField(np.asarray(direction, dtype=float))
-
-
 @dataclass
 class ShapeState:
     """Solved state on one curve: layer density, boundary trace of the disk
@@ -275,7 +269,7 @@ def direct_hessian_form(state, a, b=None):
     ``direct_hessian(state)``, the harmonic-extension sensitivity
     sum 2 u_nu L(u_nu a) b w plus the pointwise density
     sum (dpsi/dnu + kappa psi) a b w; the value matches the flow route
-    (``flow_hessian_form``) up to the connection correction, which vanishes
+    (``_flow_hessian``) up to the connection correction, which vanishes
     at critical shapes.  The form carries no metric parameter: it is
     independent of A by construction.
     """
@@ -308,22 +302,6 @@ def _flow_hessian(state, second, a, b, params):
              - float(np.sum(psi_m * beta * w_m))) / (2.0 * t)
     nabla = covariant_derivative(state.curve, params, a, b)
     return first - hadamard_derivative(state, nabla.values)
-
-
-def flow_hessian_form(state, a, b, A=1.0, t_step=1e-3):
-    """Hessian form as derivative of the gradient along a flow.
-
-    Central-differences t -> hadamard_derivative on the +-t curves of
-    ``fd_second_derivative`` along a (the weight field b rides along
-    node-to-node) and subtracts the gradient against the covariant
-    derivative nabla_a b, so the result is the metric Hessian form
-    evaluated through the connection.
-    """
-    af = _as_field(a)
-    bf = _as_field(b)
-    params = MetricParams(A=A, k=state.k)
-    return _flow_hessian(state, fd_second_derivative(state, af, t_step),
-                         af, bf, params)
 
 
 @dataclass(frozen=True)
@@ -431,22 +409,23 @@ _SYM_BLOCK = 128
 
 # Sizes and constants of the Lanczos route of ``symmetric_spectrum``.
 # Measured with BLAS on one thread on the DtN matrix of a two-disk radial
-# curve, dense subset solve against Lanczos: 16 eigenvalues take 11 against
-# 32 ms at n = 512 and 88 against 64 ms at n = 1024; 32 eigenvalues at
-# n = 1024 take 91 against 104 ms, and at n = 2048 dense is faster from 128
-# eigenvalues on.  So Lanczos runs from n = _LANCZOS_MIN_N with at least
-# _LANCZOS_N_PER_COUNT nodes per eigenvalue.  Its basis holds at most
-# n / _KRYLOV_CAP_RATIO vectors (0.125 n x n; 16 eigenvalues at n = 1024
-# take 74 to 84), and a Ritz value theta is accepted when its residual
-# bound is at most _LANCZOS_TOL theta.
+# curve, dense subset solve against Lanczos, min of 3: 16 eigenvalues take
+# 12 against 22 ms at n = 512 and 83 against 34 ms at n = 1024; 32
+# eigenvalues at n = 1024 take 87 against 51 ms; at n = 2048 dense is
+# faster from 64 eigenvalues on.  The basis holds n / _KRYLOV_CAP_RATIO
+# vectors (0.125 n x n).  A block column that keeps _BREAKDOWN_TOL of its
+# norm or less after orthogonalization has broken down; on the benchmark's
+# curves such columns keep about 1.5e-14 and all others at least 5e-4.
 _LANCZOS_MIN_N = 1024
 _LANCZOS_N_PER_COUNT = 64
 _LANCZOS_BLOCK = 2
 _KRYLOV_CAP_RATIO = 8
+_LANCZOS_RESTARTS = 6
 _LANCZOS_TOL = 1e-12
+_BREAKDOWN_TOL = 1e-10
 
 
-def symmetric_spectrum(buf, weights, count, floor=None):
+def symmetric_spectrum(buf, weights, count, floor=None, diagonal=None):
     """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
     the weighted inner product sum(a b w), worked out in and overwriting
     the array ``buf`` that holds it.
@@ -461,17 +440,24 @@ def symmetric_spectrum(buf, weights, count, floor=None):
     and exactly symmetric.  Its transpose is then the same matrix in Fortran
     order, which LAPACK takes and overwrites without another copy.
 
+    Every solve consumes the upper triangle and the diagonal of ``buf``
+    and leaves its strict lower triangle as it found it.  So one weighted,
+    symmetrized ``buf`` serves several operators that differ only on the
+    diagonal: given ``diagonal``, the operator's diagonal, the call skips
+    the transform and the symmetrization, copies the strict lower triangle
+    onto the upper one and writes the transformed ``diagonal``, bit for bit
+    what a fresh copy of that operator would give.
+
     ``floor`` is an optional number below the lowest eigenvalue, such as a
     Weyl bound (``cli.cmd_spectrum`` passes -1 for the DtN matrix).  With
     it, n >= _LANCZOS_MIN_N and count <= n / _LANCZOS_N_PER_COUNT,
     ``_lanczos_lowest`` factors the matrix minus ``floor`` and returns
     floor + 1 / theta from the largest Ritz values theta of its inverse.
-    Otherwise, or when the Cholesky factorization refutes the floor or the
-    Krylov basis fills up before the residual bounds are met, one LAPACK
-    subset solve (``dsyevr``) without eigenvectors reads the lower triangle
-    of the Fortran-order matrix, which the Lanczos route leaves untouched.
-    So a wrong floor or a slow run costs time and gives the dense values
-    bit for bit.
+    Otherwise, or when the Cholesky factorization refutes the floor or
+    Lanczos does not converge, one LAPACK subset solve (``dsyevr``) without
+    eigenvectors reads the lower triangle of the Fortran-order matrix, which
+    a failed Lanczos run has refilled first.  So a wrong floor or a slow
+    run costs time and gives the dense values bit for bit.
     """
     if (buf.dtype != np.float64 or not buf.flags.c_contiguous
             or not buf.flags.writeable):
@@ -480,19 +466,23 @@ def symmetric_spectrum(buf, weights, count, floor=None):
     s = np.sqrt(weights)
     n = len(weights)
     count = min(count, n)
-    buf *= s[:, None]
-    buf /= s[None, :]
-    for i0 in range(0, n, _SYM_BLOCK):
-        rows = slice(i0, i0 + _SYM_BLOCK)
-        for j0 in range(i0, n, _SYM_BLOCK):
-            cols = slice(j0, j0 + _SYM_BLOCK)
-            upper = buf[rows, cols] + buf[cols, rows].T
-            upper *= 0.5
-            buf[rows, cols] = upper
-            buf[cols, rows] = upper.T
+    if diagonal is None:
+        buf *= s[:, None]
+        buf /= s[None, :]
+        for i0 in range(0, n, _SYM_BLOCK):
+            rows = slice(i0, i0 + _SYM_BLOCK)
+            for j0 in range(i0, n, _SYM_BLOCK):
+                cols = slice(j0, j0 + _SYM_BLOCK)
+                upper = buf[rows, cols] + buf[cols, rows].T
+                upper *= 0.5
+                buf[rows, cols] = upper
+                buf[cols, rows] = upper.T
+    else:
+        _mirror_lower(buf)
+        buf[np.diag_indices(n)] = diagonal * s / s
     if (floor is not None and n >= _LANCZOS_MIN_N
             and _LANCZOS_N_PER_COUNT * count <= n):
-        vals = _lanczos_lowest(buf.T, count, floor)
+        vals = _lanczos_lowest(buf, s, count, floor)
         if vals is not None:
             return vals
     return scipy.linalg.eigh(buf.T, eigvals_only=True, overwrite_a=True,
@@ -500,66 +490,158 @@ def symmetric_spectrum(buf, weights, count, floor=None):
                              subset_by_index=[0, count - 1], driver="evr")
 
 
-def _lanczos_lowest(a, count, floor):
-    """Lowest ``count`` eigenvalues of the symmetric Fortran-order matrix
-    ``a`` by block shift-invert Lanczos, or None when ``floor`` is not
-    below the spectrum or the run does not converge.
+def _mirror_lower(buf):
+    """Copy the strict lower triangle of the square array ``buf`` onto its
+    strict upper triangle, by blocks."""
+    n = buf.shape[0]
+    for i0 in range(0, n, _SYM_BLOCK):
+        i1 = min(i0 + _SYM_BLOCK, n)
+        block = buf[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        block[upper] = block.T[upper]
+        buf[i0:i1, i1:] = buf[i1:, i0:i1].T
 
-    ``dpotrf`` factors a - floor I = U^T U in the upper triangle of ``a``;
-    its failure refutes the floor.  Otherwise block Lanczos with full
-    reorthogonalization (two Gram-Schmidt passes) runs on
-    (a - floor I)^-1, applied by ``dpotrs`` (two triangular solves).  The
-    block has two vectors, so the two-dimensional eigenspaces of the
-    double eigenvalues of rotationally symmetric shapes, such as the
-    critical disk, are in reach without help from rounding.  The start
-    block is fixed and pseudo-random, with a component along every
-    eigenvector; the constant vector would not do, as on a circle it is an
-    eigenvector itself.  The run stops when each of the ``count`` largest
-    Ritz values theta has the residual bound |B y_last| <= _LANCZOS_TOL
-    theta, so an eigenvalue of the inverse lies within that relative
-    distance of it, and returns floor + 1 / theta ascending.  If the
-    basis fills its n / _KRYLOV_CAP_RATIO vectors first, as on a flow
-    iterate whose lowest eigenvalues cluster, or if the floor is refuted,
-    the diagonal is restored, so the lower triangle holds the matrix again
-    for the dense solve.
+
+def _fourier_modes(s, first, count):
+    """Columns ``first`` to ``first + count - 1`` of the grid's Fourier
+    modes 1, sin t, cos t, sin 2t, cos 2t, ... on t_i = 2 pi i / n, each
+    scaled by s, as a Fortran-order n x count array."""
+    n = len(s)
+    t = (2.0 * np.pi / n) * np.arange(n)
+    out = np.empty((n, count), order="F")
+    for c in range(count):
+        m = (first + c + 1) // 2
+        out[:, c] = np.sin(m * t) if (first + c) % 2 else np.cos(m * t)
+        out[:, c] *= s
+    return out
+
+
+def _orthonormalize(x):
+    """QR factorization of the Fortran-order block ``x``: Q overwrites it,
+    R is returned."""
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(x, overwrite_a=1)
+    r = np.triu(qr[:x.shape[1]])
+    scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)
+    return r
+
+
+def _orthogonalize(x, basis):
+    """Two Gram-Schmidt passes of the block ``x`` against the orthonormal
+    columns of ``basis``, in place; returns basis^T x before them."""
+    h = basis.T @ x
+    scipy.linalg.blas.dgemm(-1.0, basis, h, 1.0, x, overwrite_c=1)
+    h2 = basis.T @ x
+    scipy.linalg.blas.dgemm(-1.0, basis, h2, 1.0, x, overwrite_c=1)
+    return h + h2
+
+
+def _lanczos_lowest(buf, s, count, floor):
+    """Lowest ``count`` eigenvalues of the symmetric matrix ``buf`` by block
+    shift-invert Lanczos, or None when ``floor`` is not below the spectrum
+    or the run does not converge.
+
+    ``dpotrf`` factors a - floor I = C C^T in the lower triangle of the
+    Fortran-order view a = buf.T, the upper triangle of ``buf``; its
+    failure refutes the floor.  Otherwise ``_block_lanczos`` runs on
+    (a - floor I)^-1 and gives floor + 1 / theta.  When the floor is
+    refuted or the run does not converge, the consumed triangle is refilled
+    from the untouched one and the diagonal restored, so ``buf`` holds the
+    matrix again for the dense solve.
     """
+    a = buf.T
     n = a.shape[0]
-    p = _LANCZOS_BLOCK
     diag = np.diag_indices(n)
     saved = a[diag]
     a[diag] -= floor
-    _, info = scipy.linalg.lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
-    if info != 0:
-        a[diag] = saved
-        return None
-    cap = n // _KRYLOV_CAP_RATIO
-    V = np.empty((n, cap), order="F")
-    T = np.zeros((cap, cap))
-    start = np.random.default_rng(0).standard_normal((n, p))
-    V[:, :p] = np.linalg.qr(start)[0]
-    for j in range(0, cap - p, p):
-        blk, nxt = slice(j, j + p), slice(j + p, j + 2 * p)
-        x = scipy.linalg.lapack.dpotrs(a, V[:, blk], lower=0)[0]
-        basis = V[:, :j + p]
-        h = basis.T @ x
-        x -= basis @ h
-        h2 = basis.T @ x
-        x -= basis @ h2
-        d = h[blk] + h2[blk]
-        T[blk, blk] = 0.5 * (d + d.T)
-        V[:, nxt], r = np.linalg.qr(x)
-        if j + p >= count:
-            theta, y = np.linalg.eigh(T[:j + p, :j + p])
-            bound = np.linalg.norm(r @ y[blk, -count:], axis=0)
-            if np.all(bound <= _LANCZOS_TOL * theta[-count:]):
-                return floor + 1.0 / theta[:-count - 1:-1]
-        T[nxt, blk] = r
-        T[blk, nxt] = r.T
+    _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        theta = _block_lanczos(a, s, count)
+        if theta is not None:
+            return floor + 1.0 / theta
+    _mirror_lower(buf)
     a[diag] = saved
     return None
 
 
-def stability_controls(state, count):
+def _block_lanczos(c, s, count):
+    """The ``count`` largest eigenvalues, descending, of (C C^T)^-1 for the
+    Cholesky factor C in the lower triangle of ``c``, or None.
+
+    Block Lanczos with full reorthogonalization, in blocks of
+    p = max(count, _LANCZOS_BLOCK) columns: a ``dpotrs`` with p right-hand
+    sides is bound by memory traffic and costs little more than one with
+    two.  On the critical disk the grid's Fourier modes are the
+    eigenvectors, and on near circles they stay close, so the start block
+    is the p - _LANCZOS_BLOCK lowest modes 1, sin t, cos t, ..., scaled by
+    sqrt(w), then _LANCZOS_BLOCK fixed pseudo-random columns, which give
+    every eigenvector a component (16 eigenvalues at n = 1024: 7 to 10
+    block solves on the benchmark's curves, 2 on the disk).  A column whose
+    orthogonalized residual falls to _BREAKDOWN_TOL of its norm lies in the
+    basis to rounding (the constant for L, every start mode on the disk);
+    it is replaced by the next Fourier mode, with zero coupling in T.
+
+    The run stops when each of the ``count`` largest Ritz values theta has
+    the residual bound |B y_last| <= _LANCZOS_TOL theta.  A full basis of
+    cap = n / _KRYLOV_CAP_RATIO vectors restarts, at most _LANCZOS_RESTARTS
+    times, from its k = max(p, (cap - p) / 2) largest Ritz vectors Y and
+    the last block, which A^-1 Y reaches through B y_last (a thick
+    restart).
+    """
+    n = c.shape[0]
+    p = max(count, _LANCZOS_BLOCK)
+    cap = n // _KRYLOV_CAP_RATIO
+    V = np.empty((n, cap), order="F")
+    T = np.zeros((cap, cap))
+    mode = p - _LANCZOS_BLOCK
+    V[:, :mode] = _fourier_modes(s, 0, mode)
+    V[:, mode:p] = np.random.default_rng(0).standard_normal(
+        (n, _LANCZOS_BLOCK))
+    _orthonormalize(V[:, :p])
+    j = 0
+    for restart in range(_LANCZOS_RESTARTS + 1):
+        while j + 2 * p <= cap:
+            blk, nxt = slice(j, j + p), slice(j + p, j + 2 * p)
+            x = V[:, nxt]
+            x[...] = V[:, blk]
+            scipy.linalg.lapack.dpotrs(c, x, lower=1, overwrite_b=1)
+            basis = V[:, :j + p]
+            norms = np.linalg.norm(x, axis=0)
+            h = _orthogonalize(x, basis)
+            d = h[blk]
+            T[blk, blk] = 0.5 * (d + d.T)
+            lost = np.linalg.norm(x, axis=0) <= _BREAKDOWN_TOL * norms
+            if lost.any():
+                fresh = _fourier_modes(s, mode, int(lost.sum()))
+                mode += fresh.shape[1]
+                _orthogonalize(fresh, basis)
+                x[:, lost] = fresh
+            r = _orthonormalize(x)
+            r[:, lost] = 0.0
+            j += p
+            theta, y = np.linalg.eigh(T[:j, :j])
+            bound = np.linalg.norm(r @ y[blk, -count:], axis=0)
+            if np.all(bound <= _LANCZOS_TOL * theta[-count:]):
+                return theta[:-count - 1:-1]
+            T[nxt, blk] = r
+            T[blk, nxt] = r.T
+        if restart == _LANCZOS_RESTARTS:
+            return None
+        # thick restart: the k largest Ritz vectors, formed in place by rows,
+        # then the next block, coupled to them through r y_last
+        k = max(p, (cap - p) // 2)
+        for i0 in range(0, n, _SYM_BLOCK):
+            rows = slice(i0, i0 + _SYM_BLOCK)
+            V[rows, :k] = V[rows, :j] @ y[:, -k:]
+        V[:, k:k + p] = V[:, j:j + p]
+        coupling = r @ y[j - p:j, -k:]
+        T[:] = 0.0
+        T[:k, :k] = np.diag(theta[-k:])
+        T[k:k + p, :k] = coupling
+        T[:k, k:k + p] = coupling.T
+        j = k
+
+
+def stability_controls(state, count, buf=None):
     """Curvature sign controls and the lowest ``count`` eigenvalues of
     k^2 (L -+ kappa).
 
@@ -570,10 +652,15 @@ def stability_controls(state, count):
     curvature terms differ in sign).  Eigenproblems are posed in the
     arclength inner product, and only the lowest ``count`` eigenvalues of
     each are computed (``symmetric_spectrum``): by block shift-invert
-    Lanczos above the Weyl floor k^2 (min(-+kappa) - 1) at large n and
-    small ``count``, by the dense subset solve otherwise, or if the floor
-    fails its Cholesky test or Lanczos does not converge.  Returns the
-    report's ``stability`` block as a dict.
+    Lanczos above the Weyl floor min(-+kappa) - 1 of L -+ kappa at large n
+    and small ``count``, by the dense subset solve otherwise, or if the
+    floor fails its Cholesky test or Lanczos does not converge; k^2 scales
+    the eigenvalues afterwards.  Both solves work in one buffer: a copy of
+    L made here, or ``buf``, a copy of L that an earlier
+    ``symmetric_spectrum`` call has already weighted and symmetrized (the
+    DtN spectrum of ``cli.cmd_spectrum``).  A solve after the first only
+    refills the triangle and the diagonal that the one before consumed.
+    Returns the report's ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
     kap = curve.kappa
@@ -584,16 +671,18 @@ def stability_controls(state, count):
 
     spectra = []
     for sign in (-1.0, 1.0):
-        # k^2 (L -+ diag(kappa)) in one copy of L, which the solve consumes;
-        # the copy is dropped before the next one is made.  L is positive
-        # semidefinite up to rounding, so Weyl's bound puts the spectrum
-        # above k^2 min(-+kappa); one unit below it is the Lanczos floor
-        shifted = L.copy()
-        shifted[np.diag_indices_from(shifted)] += sign * kap
-        shifted *= k**2
-        floor = k**2 * (float(np.min(sign * kap)) - 1.0)
-        spectra.append(symmetric_spectrum(shifted, w, count, floor))
-        del shifted
+        # L is positive semidefinite up to rounding, so Weyl's bound puts
+        # the spectrum of L -+ diag(kappa) above min(-+kappa); one unit
+        # below it is the Lanczos floor
+        diagonal = np.diagonal(L) + sign * kap
+        floor = float(np.min(sign * kap)) - 1.0
+        if buf is None:
+            buf = L.copy()
+            buf[np.diag_indices_from(buf)] = diagonal
+            vals = symmetric_spectrum(buf, w, count, floor)
+        else:
+            vals = symmetric_spectrum(buf, w, count, floor, diagonal)
+        spectra.append(k**2 * vals)
     vals_m, vals_p = spectra
 
     verdicts = {

@@ -17,8 +17,10 @@ from quadshape.geometry import Curve, MetricParams, NormalField
 from quadshape.potential import Disk, SourceTerm
 from quadshape.riemannian import check_metric_compatibility, torsion
 from quadshape.shape import (evaluate_J, fd_second_derivative,
-                             hadamard_derivative, flow_hessian_form,
-                             hessian_report, solve_state, steklov_form)
+                             hadamard_derivative, hessian_report,
+                             solve_state, steklov_form)
+
+from arbiters import flow_hessian_form
 
 RESULTS = {}
 

@@ -16,11 +16,13 @@ from quadshape.potential import (Disk, SourceTerm, eval_potential,
 from quadshape.riemannian import covariant_derivative
 from quadshape.shape import (direct_hessian, direct_hessian_form, evaluate_J,
                              fd_first_derivative, fd_second_derivative,
-                             flow_hessian_form, hadamard_derivative,
+                             hadamard_derivative,
                              hessian_report, pointwise_hessian_form,
                              psi_normal_derivative, solve_state,
                              stability_controls, steklov_form,
                              symmetric_spectrum)
+
+from arbiters import flow_hessian_form
 
 TWO_PI = 2.0 * np.pi
 
@@ -371,7 +373,6 @@ def test_hessian_report_routes_and_factors(critical_state):
 
 def test_direct_equals_flow_plus_connection_off_criticality(
         centered_source, ellipse_state, unit_params):
-    from quadshape.shape import flow_hessian_form
     e = ellipse_state.curve
     a = NormalField.from_mode("cos2", 128)
     direct = direct_hessian_form(ellipse_state, a.values)
@@ -488,7 +489,6 @@ def test_hessian_report_peak_memory_is_bounded(centered_source):
 
 
 def test_flow_route_ignores_metric_weight_at_critical_shape(critical_state):
-    from quadshape.shape import flow_hessian_form
     v = np.cos(2 * critical_state.curve.theta)
     f1 = flow_hessian_form(critical_state, v, v, A=1.0)
     f2 = flow_hessian_form(critical_state, v, v, A=6.0)
@@ -587,8 +587,7 @@ def test_symmetric_spectrum_refuses_a_matrix_it_cannot_consume(
 
 
 def test_stability_controls_peak_memory_is_bounded(centered_source):
-    # each sign's shifted copy of L is the buffer its solve works in, and it
-    # is freed before the next one is made
+    # both signs' solves work in one copy of L
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
     state = solve_state(c, centered_source, 1.0)
@@ -653,22 +652,158 @@ def check_spectra_against_full_eigh(state, count):
     return cases
 
 
-@pytest.mark.parametrize("n", [256, 1024])
-def test_subset_spectrum_matches_full_eigh(n, dense_solve_orders):
-    # two disks in a perturbed radial curve, as in the spectrum benchmark;
-    # n = 256 takes the dense subset solve, n = 1024 block Lanczos
+def two_disk_radial_state(n):
+    """Two disks in a perturbed radial curve, as in the spectrum
+    benchmark."""
     c = Curve.from_radial(1.0, cos={2: 0.03, 3: -0.02, 5: 0.01},
                           sin={2: -0.01, 4: 0.03, 6: -0.02}, n=n)
     src = SourceTerm((Disk(0.25, 0.05, 0.08, np.pi),
                       Disk(-0.2, -0.1, 0.08, np.pi)))
-    state = solve_state(c, src, 1.0)
-    check_spectra_against_full_eigh(state, 16)
+    return solve_state(c, src, 1.0)
+
+
+@pytest.fixture(scope="module")
+def radial_state_1024():
+    return two_disk_radial_state(1024)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_subset_spectrum_matches_full_eigh(n, dense_solve_orders):
+    # n = 256 takes the dense subset solve, n = 1024 block Lanczos
+    check_spectra_against_full_eigh(two_disk_radial_state(n), 16)
     assert dense_solve_orders == ([] if n == 1024 else [n] * 5)
 
 
 @pytest.fixture(scope="module")
 def critical_state_1024(centered_source):
     return solve_state(Curve.circle(1.0, n=1024), centered_source, 1.0)
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """Block solves (``dpotrs`` calls) made by each call of
+    ``symmetric_spectrum`` during the test, in call order."""
+    import quadshape.shape as shape
+    counts = []
+    potrs, spectrum = scipy.linalg.lapack.dpotrs, shape.symmetric_spectrum
+
+    def counted_potrs(*args, **kwargs):
+        counts[-1] += 1
+        return potrs(*args, **kwargs)
+
+    def counted_spectrum(*args, **kwargs):
+        counts.append(0)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", counted_potrs)
+    monkeypatch.setattr(shape, "symmetric_spectrum", counted_spectrum)
+    monkeypatch.setitem(globals(), "symmetric_spectrum", counted_spectrum)
+    return counts
+
+
+def test_lanczos_takes_few_block_solves_per_spectrum(
+        radial_state_1024, block_solves, dense_solve_orders):
+    # the spectrum command's three solves, 16 eigenvalues each: the start
+    # block of 14 Fourier modes and 2 pseudo-random columns converges in 8
+    # block solves (7 to 10 on the benchmark's curves), where a random
+    # block of two takes 37 to 40
+    state = radial_state_1024
+    buf = state.ops.dtn_matrix.copy()
+    symmetric_spectrum(buf, state.curve.weights, 16, floor=-1.0)
+    stability_controls(state, 16, buf)
+    assert dense_solve_orders == []
+    assert len(block_solves) == 3
+    assert max(block_solves) <= 10
+
+
+def test_lanczos_that_restarts_matches_full_eigh(
+        radial_state_1024, monkeypatch, block_solves, dense_solve_orders):
+    # a basis of n / 10 vectors holds 5 steps of 16 columns, too few for
+    # any of the spectra, so every run restarts from its Ritz vectors
+    import quadshape.shape as shape
+    monkeypatch.setattr(shape, "_KRYLOV_CAP_RATIO", 10)
+    check_spectra_against_full_eigh(radial_state_1024, 16)
+    assert dense_solve_orders == []
+    assert len(block_solves) == 5
+    assert min(block_solves) > 5
+
+
+@pytest.mark.parametrize("count", [1, 2, 16])
+def test_lanczos_start_block(radial_state_1024, monkeypatch, count):
+    # the two pseudo-random columns of default_rng(0), alone for count <= 2,
+    # after count - 2 grid Fourier modes 1, sin t, cos t, ... scaled by
+    # sqrt(w) otherwise
+    import quadshape.shape as shape
+    blocks = []
+    orthonormalize = shape._orthonormalize
+
+    def recorded(x):
+        blocks.append(x.copy())
+        return orthonormalize(x)
+
+    monkeypatch.setattr(shape, "_orthonormalize", recorded)
+    state = radial_state_1024
+    n, t, w = state.curve.n, state.curve.theta, state.curve.weights
+    symmetric_spectrum(state.ops.dtn_matrix.copy(), w, count, floor=-1.0)
+    start = blocks[0]
+    assert start.shape == (n, max(count, 2))
+    assert np.array_equal(start[:, -2:],
+                          np.random.default_rng(0).standard_normal((n, 2)))
+    modes = [np.sin((c + 1) // 2 * t) if c % 2 else np.cos((c + 1) // 2 * t)
+             for c in range(count - 2)]
+    for col, mode in zip(start.T, modes):
+        assert np.allclose(col, mode * np.sqrt(w), rtol=0.0, atol=1e-14)
+
+
+def test_lanczos_breakdown_on_the_critical_disk(
+        critical_state_1024, block_solves, dense_solve_orders):
+    # the start block's 14 Fourier modes are eigenvectors of all three
+    # operators on the disk, so one step leaves of them only rounding
+    # noise; each is replaced by the next Fourier mode, uncoupled, and the
+    # next step converges, long before the basis of 7 steps would restart
+    cases = check_spectra_against_full_eigh(critical_state_1024, 16)
+    assert dense_solve_orders == []
+    assert len(block_solves) == 5
+    assert max(block_solves) <= 2
+    w = critical_state_1024.curve.weights
+    ladder = np.repeat(np.arange(9), 2)[1:17]
+    for (mat, vals), offset in zip(cases, (0, -1, 1)):
+        # no eigenvalue is duplicated or missed
+        assert np.array_equal(np.round(vals), ladder + offset)
+        ref = _full_spectrum(mat, w)
+        scale = float(np.max(np.abs(ref)))
+        # a random start block of two comes within 4.802e-15 of the scale
+        # at worst
+        assert np.max(np.abs(vals - ref[:16])) <= 4.802e-15 * scale
+
+
+@pytest.mark.parametrize("n, dtn_floor", [(256, -1.0), (1024, -1.0),
+                                          (1024, 0.5)])
+def test_stability_spectra_reuse_the_symmetrized_dtn_buffer(
+        n, dtn_floor, radial_state_1024, dense_solve_orders):
+    # the spectrum command's order: the DtN solve (dense, by Lanczos, or
+    # dense after a refuted floor), then both stability solves in the same
+    # buffer.  Every solve leaves the strict lower triangle of the weighted
+    # symmetrization as it was, the later ones refill the rest, and the
+    # eigenvalues are bit for bit those of separate copies (k = 1)
+    state = radial_state_1024 if n == 1024 else two_disk_radial_state(n)
+    L, w, kap = state.ops.dtn_matrix, state.curve.weights, state.curve.kappa
+    s = np.sqrt(w)
+    sym = (L * s[:, None]) / s[None, :]
+    lower = np.tril(0.5 * (sym + sym.T), -1)
+    buf = L.copy()
+    dtn = symmetric_spectrum(buf, w, 16, floor=dtn_floor)
+    assert np.array_equal(np.tril(buf, -1), lower)
+    assert np.array_equal(dtn, symmetric_spectrum(L.copy(), w, 16,
+                                                  floor=dtn_floor))
+    shared = stability_controls(state, 16, buf)
+    assert np.array_equal(np.tril(buf, -1), lower)
+    for key, sign in (("eigenvalues_minus", -1.0), ("eigenvalues_plus", 1.0)):
+        separate = symmetric_spectrum(L + np.diag(sign * kap), w, 16,
+                                      float(np.min(sign * kap)) - 1.0)
+        assert np.array_equal(shared[key], separate)
+    dense = {256: [256] * 6, 1024: []}[n] if dtn_floor < 0 else [1024] * 2
+    assert dense_solve_orders == dense
 
 
 def test_lanczos_spectrum_finds_both_copies_on_the_critical_disk(
@@ -688,8 +823,8 @@ def test_lanczos_spectrum_finds_both_copies_on_the_critical_disk(
 def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
         critical_state_1024, dense_solve_orders):
     # L has eigenvalue 0, so the Cholesky test of L - floor fails for both
-    # floors: the solve restores the diagonal and the dense subset solve
-    # gives the values bit for bit
+    # floors: the solve refills the factored triangle and the diagonal, and
+    # the dense subset solve gives the values bit for bit
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
     dense = symmetric_spectrum(L.copy(), w, 16)
     for floor in (0.5, 1e3):
@@ -700,9 +835,9 @@ def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
 
 def test_lanczos_that_fills_its_basis_falls_back_to_dense(
         critical_state_1024, monkeypatch, dense_solve_orders):
-    # no residual bound meets a zero tolerance, so the basis fills up; the
-    # solve then restores the diagonal and gives the dense values bit for
-    # bit from the triangle the factorization left untouched
+    # no residual bound meets a zero tolerance, so the basis fills up in
+    # every restart; the solve then refills the factored triangle and the
+    # diagonal and gives the dense values bit for bit
     import quadshape.shape as shape
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
     dense = symmetric_spectrum(L.copy(), w, 16)
