@@ -260,8 +260,8 @@ class BoundaryOperators:
         and L ends up in K''s buffer.  Nothing reads the LU factors or K'
         after this, so they are released: ``solve_dirichlet`` and
         ``neumann_trace`` raise ``RuntimeError`` from then on.  L is
-        returned read-only: a solve that works in its input, such as
-        ``shape.symmetric_spectrum``, takes a copy.
+        returned read-only, since every later reader of the state sees the
+        same array.
         """
         if self._dtn is None:
             rhs = self._neumann_jump.T

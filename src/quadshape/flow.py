@@ -158,8 +158,8 @@ def newton_direction(state, params):
     Otherwise mu shifts the lowest eigenvalue lambda0 of the pencil up to a
     margin k^2 / 2, mu = -lambda0 + k^2 / 2, so W (H + mu G) is positive
     definite.  lambda0, that of G^-1 H, comes from
-    ``shape.symmetric_spectrum`` in the buffer of W H, refilled with
-    G^-1 H, above the Weyl floor min(d / g) - k^2 / 2.  H is diag(d),
+    ``shape.symmetric_spectrum``, which reads G^-1 H from the buffer of
+    W H, above the Weyl floor min(d / g) - k^2 / 2.  H is diag(d),
     d = dpsi/dnu + kappa psi the ``pointwise_density``, plus 2 U L U, which
     is positive semidefinite in the arclength product, so lambda0 >=
     min(d / g).  From n = 1024 the solve is block shift-invert Lanczos above

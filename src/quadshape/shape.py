@@ -410,9 +410,10 @@ _SYM_BLOCK = 128
 # Sizes and constants of the Lanczos route of ``symmetric_spectrum``.
 # Measured with BLAS on one thread on the DtN matrix of a two-disk radial
 # curve, dense subset solve against Lanczos, min of 3: 16 eigenvalues take
-# 12 against 22 ms at n = 512 and 83 against 34 ms at n = 1024; 32
-# eigenvalues at n = 1024 take 87 against 51 ms; at n = 2048 dense is
-# faster from 64 eigenvalues on.  The basis holds n / _KRYLOV_CAP_RATIO
+# 12 against 22 ms at n = 512 and 83 against 34 ms at n = 1024, and 24
+# at n = 1024 take 84 against 48 ms; 28 and 32 there do not converge in
+# _LANCZOS_RESTARTS restarts and fall back to dense, 87 against 141 ms.
+# No workload asks for more than 16.  The basis holds n / _KRYLOV_CAP_RATIO
 # vectors (0.125 n x n).  A block column that keeps _BREAKDOWN_TOL of its
 # norm or less after orthogonalization has broken down; on the benchmark's
 # curves such columns keep about 1.5e-14 and all others at least 5e-4.
@@ -425,28 +426,20 @@ _LANCZOS_TOL = 1e-12
 _BREAKDOWN_TOL = 1e-10
 
 
-def symmetric_spectrum(buf, weights, count, floor=None, diagonal=None):
+def symmetric_spectrum(matrix, weights, count, floor=None, diagonal=None):
     """Lowest ``count`` eigenvalues, ascending, of an operator symmetric in
-    the weighted inner product sum(a b w), worked out in and overwriting
-    the array ``buf`` that holds it.
+    the weighted inner product sum(a b w), read from ``matrix``, which is
+    left as it is.
 
-    ``count`` is capped at the matrix order.  ``buf`` must be a writeable,
-    C-ordered float64 array, whose transpose LAPACK overwrites in place;
-    any other, such as the read-only ``dtn_matrix`` of a state, raises
-    ``ValueError``, so callers that keep the matrix pass a copy.  The
-    similarity transform diag(sqrt w) buf diag(1/sqrt w) and the
-    symmetrization 0.5 (a_ij + a_ji) are done in ``buf`` by blocks; IEEE
-    addition is commutative, so the result is bit for bit 0.5 (sym + sym.T)
-    and exactly symmetric.  Its transpose is then the same matrix in Fortran
-    order, which LAPACK takes and overwrites without another copy.
-
-    Every solve consumes the upper triangle and the diagonal of ``buf``
-    and leaves its strict lower triangle as it found it.  So one weighted,
-    symmetrized ``buf`` serves several operators that differ only on the
-    diagonal: given ``diagonal``, the operator's diagonal, the call skips
-    the transform and the symmetrization, copies the strict lower triangle
-    onto the upper one and writes the transformed ``diagonal``, bit for bit
-    what a fresh copy of that operator would give.
+    ``count`` is capped at the matrix order.  Given ``diagonal``, it
+    replaces the diagonal of ``matrix``, so operators that differ from one
+    matrix only on the diagonal need no copy of their own.  The solve fills
+    one buffer with the similarity transform diag(sqrt w) matrix
+    diag(1/sqrt w) and symmetrizes it, 0.5 (a_ij + a_ji), in place by
+    blocks; IEEE addition is commutative, so the result is bit for bit
+    0.5 (sym + sym.T) and exactly symmetric.  Its transpose is then the
+    same matrix in Fortran order, which LAPACK takes and overwrites without
+    another copy.
 
     ``floor`` is an optional number below the lowest eigenvalue, such as a
     Weyl bound (``cli.cmd_spectrum`` passes -1 for the DtN matrix).  With
@@ -455,20 +448,21 @@ def symmetric_spectrum(buf, weights, count, floor=None, diagonal=None):
     floor + 1 / theta from the largest Ritz values theta of its inverse.
     Otherwise, or when the Cholesky factorization refutes the floor or
     Lanczos does not converge, one LAPACK subset solve (``dsyevr``) without
-    eigenvectors reads the lower triangle of the Fortran-order matrix, which
-    a failed Lanczos run has refilled first.  So a wrong floor or a slow
-    run costs time and gives the dense values bit for bit.
+    eigenvectors reads the lower triangle of the Fortran-order matrix, in
+    the buffer filled again from ``matrix`` after a failed Lanczos run.  So
+    a wrong floor or a slow run costs time and gives the dense values bit
+    for bit.
     """
-    if (buf.dtype != np.float64 or not buf.flags.c_contiguous
-            or not buf.flags.writeable):
-        raise ValueError("symmetric_spectrum works in a writeable C-ordered "
-                         "float64 array")
     s = np.sqrt(weights)
     n = len(weights)
     count = min(count, n)
-    if diagonal is None:
-        buf *= s[:, None]
-        buf /= s[None, :]
+    buf = np.empty((n, n))
+
+    def fill():
+        np.multiply(matrix, s[:, None], out=buf)
+        if diagonal is not None:
+            buf[np.diag_indices(n)] = diagonal * s
+        np.divide(buf, s[None, :], out=buf)
         for i0 in range(0, n, _SYM_BLOCK):
             rows = slice(i0, i0 + _SYM_BLOCK)
             for j0 in range(i0, n, _SYM_BLOCK):
@@ -477,29 +471,17 @@ def symmetric_spectrum(buf, weights, count, floor=None, diagonal=None):
                 upper *= 0.5
                 buf[rows, cols] = upper
                 buf[cols, rows] = upper.T
-    else:
-        _mirror_lower(buf)
-        buf[np.diag_indices(n)] = diagonal * s / s
+
+    fill()
     if (floor is not None and n >= _LANCZOS_MIN_N
             and _LANCZOS_N_PER_COUNT * count <= n):
-        vals = _lanczos_lowest(buf, s, count, floor)
+        vals = _lanczos_lowest(buf.T, s, count, floor)
         if vals is not None:
             return vals
+        fill()
     return scipy.linalg.eigh(buf.T, eigvals_only=True, overwrite_a=True,
                              check_finite=False,
                              subset_by_index=[0, count - 1], driver="evr")
-
-
-def _mirror_lower(buf):
-    """Copy the strict lower triangle of the square array ``buf`` onto its
-    strict upper triangle, by blocks."""
-    n = buf.shape[0]
-    for i0 in range(0, n, _SYM_BLOCK):
-        i1 = min(i0 + _SYM_BLOCK, n)
-        block = buf[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
-        block[upper] = block.T[upper]
-        buf[i0:i1, i1:] = buf[i1:, i0:i1].T
 
 
 def _fourier_modes(s, first, count):
@@ -535,32 +517,22 @@ def _orthogonalize(x, basis):
     return h + h2
 
 
-def _lanczos_lowest(buf, s, count, floor):
-    """Lowest ``count`` eigenvalues of the symmetric matrix ``buf`` by block
-    shift-invert Lanczos, or None when ``floor`` is not below the spectrum
-    or the run does not converge.
+def _lanczos_lowest(a, s, count, floor):
+    """Lowest ``count`` eigenvalues of the symmetric Fortran-order matrix
+    ``a`` by block shift-invert Lanczos, or None when ``floor`` is not
+    below the spectrum or the run does not converge.
 
-    ``dpotrf`` factors a - floor I = C C^T in the lower triangle of the
-    Fortran-order view a = buf.T, the upper triangle of ``buf``; its
-    failure refutes the floor.  Otherwise ``_block_lanczos`` runs on
-    (a - floor I)^-1 and gives floor + 1 / theta.  When the floor is
-    refuted or the run does not converge, the consumed triangle is refilled
-    from the untouched one and the diagonal restored, so ``buf`` holds the
-    matrix again for the dense solve.
+    ``dpotrf`` factors a - floor I = C C^T in place in the lower triangle
+    of ``a``, which is then spent; its failure refutes the floor.
+    Otherwise ``_block_lanczos`` runs on (a - floor I)^-1 and gives
+    floor + 1 / theta.
     """
-    a = buf.T
-    n = a.shape[0]
-    diag = np.diag_indices(n)
-    saved = a[diag]
-    a[diag] -= floor
+    a[np.diag_indices(a.shape[0])] -= floor
     _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        theta = _block_lanczos(a, s, count)
-        if theta is not None:
-            return floor + 1.0 / theta
-    _mirror_lower(buf)
-    a[diag] = saved
-    return None
+    if info != 0:
+        return None
+    theta = _block_lanczos(a, s, count)
+    return None if theta is None else floor + 1.0 / theta
 
 
 def _block_lanczos(c, s, count):
@@ -641,7 +613,7 @@ def _block_lanczos(c, s, count):
         j = k
 
 
-def stability_controls(state, count, buf=None):
+def stability_controls(state, count):
     """Curvature sign controls and the lowest ``count`` eigenvalues of
     k^2 (L -+ kappa).
 
@@ -651,15 +623,11 @@ def stability_controls(state, count, buf=None):
     spectrum matches the arbiter on the critical disk, in every mode (the
     curvature terms differ in sign).  Eigenproblems are posed in the
     arclength inner product, and only the lowest ``count`` eigenvalues of
-    each are computed (``symmetric_spectrum``): by block shift-invert
-    Lanczos above the Weyl floor min(-+kappa) - 1 of L -+ kappa at large n
-    and small ``count``, by the dense subset solve otherwise, or if the
-    floor fails its Cholesky test or Lanczos does not converge; k^2 scales
-    the eigenvalues afterwards.  Both solves work in one buffer: a copy of
-    L made here, or ``buf``, a copy of L that an earlier
-    ``symmetric_spectrum`` call has already weighted and symmetrized (the
-    DtN spectrum of ``cli.cmd_spectrum``).  A solve after the first only
-    refills the triangle and the diagonal that the one before consumed.
+    each are computed (``symmetric_spectrum``, which reads L and the
+    shifted diagonal): by block shift-invert Lanczos above the Weyl floor
+    min(-+kappa) - 1 of L -+ kappa at large n and small ``count``, by the
+    dense subset solve otherwise, or if the floor fails its Cholesky test
+    or Lanczos does not converge; k^2 scales the eigenvalues afterwards.
     Returns the report's ``stability`` block as a dict.
     """
     curve, k = state.curve, state.k
@@ -676,13 +644,7 @@ def stability_controls(state, count, buf=None):
         # below it is the Lanczos floor
         diagonal = np.diagonal(L) + sign * kap
         floor = float(np.min(sign * kap)) - 1.0
-        if buf is None:
-            buf = L.copy()
-            buf[np.diag_indices_from(buf)] = diagonal
-            vals = symmetric_spectrum(buf, w, count, floor)
-        else:
-            vals = symmetric_spectrum(buf, w, count, floor, diagonal)
-        spectra.append(k**2 * vals)
+        spectra.append(k**2 * symmetric_spectrum(L, w, count, floor, diagonal))
     vals_m, vals_p = spectra
 
     verdicts = {

@@ -440,8 +440,8 @@ def test_spectrum_command(tmp_path):
 def test_spectrum_solves_every_spectrum_through_one_route(tmp_path,
                                                          monkeypatch):
     # L, L - kappa and L + kappa all go through shape.symmetric_spectrum,
-    # in one buffer that is a copy of L, so the dumped L is the state's L
-    # untouched by the three solves
+    # which only reads L, so the dumped L is the state's L untouched by the
+    # three solves
     import quadshape.cli as cli
     import quadshape.shape as shape
     calls = []

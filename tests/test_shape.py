@@ -569,25 +569,21 @@ def test_state_matrices_are_read_only(centered_source):
     assert not direct_hessian(state).flags.writeable
 
 
-def test_symmetric_spectrum_refuses_a_matrix_it_cannot_consume(
-        centered_source):
-    # the solve works in its input: a state's own L raises instead of being
-    # overwritten, and so does an array in another layout
+def test_symmetric_spectrum_reads_its_matrix_in_any_layout(centered_source):
+    # the solve only reads its input: a state's own read-only L and a
+    # Fortran-order copy give the bits of a writeable C-ordered copy and
+    # are left as they were
     state = solve_state(Curve.ellipse(1.2, 0.8, n=64), centered_source, 1.0)
     L, w = state.ops.dtn_matrix, state.curve.weights
-    before = L.tobytes()
-    with pytest.raises(ValueError):
-        symmetric_spectrum(L, w, 4)
-    assert L.tobytes() == before
-    for other in (np.asfortranarray(L), L.astype(np.float32)):
-        with pytest.raises(ValueError):
-            symmetric_spectrum(other, w, 4)
-    assert np.array_equal(symmetric_spectrum(L.copy(), w, 4),
-                          symmetric_spectrum(np.array(L), w, 4))
+    ref = symmetric_spectrum(np.array(L), w, 4)
+    for mat in (L, np.asfortranarray(L)):
+        before = mat.tobytes(order="A")
+        assert np.array_equal(symmetric_spectrum(mat, w, 4), ref)
+        assert mat.tobytes(order="A") == before
 
 
 def test_stability_controls_peak_memory_is_bounded(centered_source):
-    # both signs' solves work in one copy of L
+    # each sign's solve reads L into one buffer of its own
     n = 512
     c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
     state = solve_state(c, centered_source, 1.0)
@@ -606,15 +602,15 @@ def test_stability_controls_peak_memory_is_bounded(centered_source):
 def test_spectrum_state_peak_memory_at_n1024_is_bounded(centered_source):
     # the spectrum command's whole life of one state at n = 1024: the solve
     # holds the LU factors and K', the DtN solve turns K''s buffer into L
-    # and releases the factors, and each spectrum then works in one copy of
-    # L.  Holding the factors and K' next to L and the eigen buffer peaked
-    # at 4.07 n x n arrays; 2.07 measured from a cold cache
+    # and releases the factors, and each spectrum then reads L into one
+    # buffer of its own.  Holding the factors and K' next to L and the eigen
+    # buffer peaked at 4.07 n x n arrays; 2.07 measured from a cold cache
     n = 1024
     c = Curve.from_radial(1.0, cos={3: 0.1}, n=n)
     tracemalloc.start()
     try:
         state = solve_state(c, centered_source, 1.0)
-        symmetric_spectrum(state.ops.dtn_matrix.copy(), c.weights, 8)
+        symmetric_spectrum(state.ops.dtn_matrix, c.weights, 8)
         stability_controls(state, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -708,9 +704,9 @@ def test_lanczos_takes_few_block_solves_per_spectrum(
     # block solves (7 to 10 on the benchmark's curves), where a random
     # block of two takes 37 to 40
     state = radial_state_1024
-    buf = state.ops.dtn_matrix.copy()
-    symmetric_spectrum(buf, state.curve.weights, 16, floor=-1.0)
-    stability_controls(state, 16, buf)
+    symmetric_spectrum(state.ops.dtn_matrix, state.curve.weights, 16,
+                       floor=-1.0)
+    stability_controls(state, 16)
     assert dense_solve_orders == []
     assert len(block_solves) == 3
     assert max(block_solves) <= 10
@@ -782,22 +778,18 @@ def test_lanczos_breakdown_on_the_critical_disk(
 def test_stability_spectra_reuse_the_symmetrized_dtn_buffer(
         n, dtn_floor, radial_state_1024, dense_solve_orders):
     # the spectrum command's order: the DtN solve (dense, by Lanczos, or
-    # dense after a refuted floor), then both stability solves in the same
-    # buffer.  Every solve leaves the strict lower triangle of the weighted
-    # symmetrization as it was, the later ones refill the rest, and the
-    # eigenvalues are bit for bit those of separate copies (k = 1)
+    # dense after a refuted floor), then both stability solves, which read
+    # the same L with the diagonal shifted.  Each solve leaves L as it was,
+    # and the eigenvalues are bit for bit those of separate copies (k = 1)
     state = radial_state_1024 if n == 1024 else two_disk_radial_state(n)
     L, w, kap = state.ops.dtn_matrix, state.curve.weights, state.curve.kappa
-    s = np.sqrt(w)
-    sym = (L * s[:, None]) / s[None, :]
-    lower = np.tril(0.5 * (sym + sym.T), -1)
-    buf = L.copy()
-    dtn = symmetric_spectrum(buf, w, 16, floor=dtn_floor)
-    assert np.array_equal(np.tril(buf, -1), lower)
+    before = L.copy()
+    dtn = symmetric_spectrum(L, w, 16, floor=dtn_floor)
+    assert np.array_equal(L, before)
     assert np.array_equal(dtn, symmetric_spectrum(L.copy(), w, 16,
                                                   floor=dtn_floor))
-    shared = stability_controls(state, 16, buf)
-    assert np.array_equal(np.tril(buf, -1), lower)
+    shared = stability_controls(state, 16)
+    assert np.array_equal(L, before)
     for key, sign in (("eigenvalues_minus", -1.0), ("eigenvalues_plus", 1.0)):
         separate = symmetric_spectrum(L + np.diag(sign * kap), w, 16,
                                       float(np.min(sign * kap)) - 1.0)
@@ -823,8 +815,8 @@ def test_lanczos_spectrum_finds_both_copies_on_the_critical_disk(
 def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
         critical_state_1024, dense_solve_orders):
     # L has eigenvalue 0, so the Cholesky test of L - floor fails for both
-    # floors: the solve refills the factored triangle and the diagonal, and
-    # the dense subset solve gives the values bit for bit
+    # floors: the solve fills its buffer from L again, and the dense subset
+    # solve gives the values bit for bit
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
     dense = symmetric_spectrum(L.copy(), w, 16)
     for floor in (0.5, 1e3):
@@ -836,8 +828,8 @@ def test_a_floor_not_below_the_spectrum_falls_back_to_dense(
 def test_lanczos_that_fills_its_basis_falls_back_to_dense(
         critical_state_1024, monkeypatch, dense_solve_orders):
     # no residual bound meets a zero tolerance, so the basis fills up in
-    # every restart; the solve then refills the factored triangle and the
-    # diagonal and gives the dense values bit for bit
+    # every restart; the solve then fills its buffer from L again and gives
+    # the dense values bit for bit
     import quadshape.shape as shape
     L, w = critical_state_1024.ops.dtn_matrix, critical_state_1024.curve.weights
     dense = symmetric_spectrum(L.copy(), w, 16)
